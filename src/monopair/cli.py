@@ -104,6 +104,10 @@ def _load_class_spec(spec, source, target, flag):
         raise InputFormatError(
             "%s (%s): needs exactly keys 'source', 'target', 'table'" % (flag, spec)
         )
+    if not isinstance(data["source"], list) or not isinstance(data["target"], list):
+        raise InputFormatError(
+            "%s (%s): 'source' and 'target' must be arrays of cyclic orders" % (flag, spec)
+        )
     declared_src = tuple(data["source"])
     declared_tgt = tuple(data["target"])
     if declared_src != source.factors or declared_tgt != target.factors:
@@ -115,7 +119,11 @@ def _load_class_spec(spec, source, target, flag):
     tindex = target.ops().index
     qn = source.order
     table = data["table"]
-    if len(table) != qn or any(len(row) != qn for row in table):
+    if (
+        not isinstance(table, list)
+        or len(table) != qn
+        or any(not isinstance(row, list) or len(row) != qn for row in table)
+    ):
         raise InputFormatError("%s (%s): table must be %d x %d" % (flag, spec, qn, qn))
     try:
         matrix = tuple(

@@ -203,12 +203,25 @@ class CycleBasis:
                     "cycle row has %d entries, expected one per edge (%d)"
                     % (len(row), ne)
                 )
-        boundary = boundary_matrix(self.curve)
+        vindex = {vid: k for k, vid in enumerate(self.curve.vertex_ids)}
+        ends = [(vindex[e.src], vindex[e.dst]) for e in self.curve.edges]
         for i, row in enumerate(rows):
-            image = [sum(b * c for b, c in zip(brow, row)) for brow in boundary]
+            image = [0] * len(vindex)
+            for (src, dst), c in zip(ends, row):
+                if c:
+                    image[dst] += c
+                    image[src] -= c
             if any(image):
                 raise ValueError("cycle row %d is not in the kernel of the boundary map" % i)
-        if h and smith_divisors([list(r) for r in rows]) != [1] * h:
+        # A row owns a column where it is +-1 and every other row is 0.  When
+        # every row owns one, those columns form a +-1 minor, so the rows are
+        # primitive; a fundamental basis owns its cotree columns.
+        owners = set()
+        for column in zip(*rows):
+            through = [i for i, c in enumerate(column) if c]
+            if len(through) == 1 and column[through[0]] in (1, -1):
+                owners.add(through[0])
+        if len(owners) < h and smith_divisors([list(r) for r in rows]) != [1] * h:
             raise ValueError("cycle rows do not span the cycle lattice primitively")
 
     @property

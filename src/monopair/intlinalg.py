@@ -1,8 +1,12 @@
-"""Exact integer linear algebra on small dense matrices.
+"""Exact integer linear algebra on dense matrices.
 
 Everything works on lists of lists of Python ints, so there is no overflow
-and no floating point anywhere.  Matrices here are desk-scale (at most a few
-dozen rows), which keeps the classical algorithms comfortably fast.
+and no floating point anywhere.  Matrices range from desk-scale examples to
+the Gram matrices of curves with first Betti number around a hundred.  The
+Bareiss sweeps (determinant, Sylvester test) are cubic in the size with
+growing entries; the Smith form does no modular reduction, so its
+intermediate entries can blow up on nonsingular Gram matrices of twenty or
+more rows.
 """
 
 from math import gcd
@@ -27,10 +31,6 @@ def mat_mul(a, b):
         return [[] for _ in a]
     bt = list(zip(*b))
     return [[sum(x * y for x, y in zip(row, col)) for col in bt] for row in a]
-
-
-def mat_vec(a, v):
-    return [sum(x * y for x, y in zip(row, v)) for row in a]
 
 
 def is_symmetric(mat):

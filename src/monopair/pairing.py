@@ -71,16 +71,35 @@ class PairingMatrix:
 
 
 def pairing_matrix(curve, basis):
-    """Gram matrix of the basis rows under the edge pairing."""
+    """Gram matrix of the basis rows under the edge pairing.
+
+    The curve is validated once.  Each edge is then visited once, adding
+    length(e) * c_i(e) * c_j(e) to entry (i, j) for every pair of rows i >= j
+    through it.  With k_e the number of rows through edge e, the cost is
+    O(h * |E|) to read the columns plus O(sum over edges of k_e^2 * base_rank)
+    to accumulate.
+    """
     check_valid(curve)
     if basis.curve != curve:
         raise ValueError("cycle basis belongs to a different curve")
     rows = basis.matrix
     h = len(rows)
+    # Lower triangle, one list of generator coordinates per entry.
+    sums = [[[0] * curve.base_rank for _ in range(i + 1)] for i in range(h)]
+    for edge, column in zip(curve.edges, zip(*rows)):
+        through = [(i, c) for i, c in enumerate(column) if c]
+        length = edge.length.coords
+        for a, (i, ci) in enumerate(through):
+            row_sums = sums[i]
+            for j, cj in through[: a + 1]:
+                acc = row_sums[j]
+                k = ci * cj
+                for t, x in enumerate(length):
+                    acc[t] += k * x
     entries = [[None] * h for _ in range(h)]
     for i in range(h):
         for j in range(i + 1):
-            value = edge_pairing(rows[i], rows[j], curve)
+            value = MonoidVector(tuple(sums[i][j]))
             entries[i][j] = value
             entries[j][i] = value
     return PairingMatrix(

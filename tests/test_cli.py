@@ -98,6 +98,16 @@ def test_extpan_rejects_invalid_cocycle_file(tmp_path):
     assert "normalized" in result.stderr
 
 
+def test_extpan_rejects_misshapen_cocycle_file(tmp_path):
+    good = {"source": [2], "target": [2], "table": [[[0], [0]], [[0], [1]]]}
+    for flag, key, value in (("--e", "source", 2), ("--f", "table", 7), ("--e", "table", [5, 6])):
+        path = write(tmp_path, "bad.json", dict(good, **{key: value}))
+        result = run_cli("extpan", "--p", "2", "--q", "2", "--r", "2", flag, path)
+        assert result.returncode == 1
+        assert "Traceback" not in result.stderr
+        assert flag in result.stderr and path in result.stderr
+
+
 def test_extpan_nonsplit_invalid_when_class_group_trivial():
     result = run_cli("extpan", "--p", "3", "--q", "2", "--r", "1", "--f", "nonsplit")
     assert result.returncode == 2

@@ -5,6 +5,7 @@ import random
 import pytest
 
 from conftest import dumbbell_curve, loop_curve, path_curve, theta_curve
+from monopair import graphs
 from monopair.errors import InputFormatError, InvalidCurveError
 from monopair.graphs import (
     CycleBasis,
@@ -156,15 +157,36 @@ def test_cycle_basis_orientation_reversal_same_lattice():
         )
 
 
-def test_cycle_basis_type_rejects_bad_rows():
+def test_cycle_basis_type_rejects_bad_rows(monkeypatch):
+    smith_calls = []
+    monkeypatch.setattr(
+        graphs, "smith_divisors", lambda mat: smith_calls.append(mat) or smith_divisors(mat)
+    )
     curve = theta_curve()
-    with pytest.raises(ValueError):
-        CycleBasis(curve=curve, matrix=((1, 0, 0), (0, 1, 0)))  # not in kernel
+    with pytest.raises(ValueError, match="kernel"):
+        CycleBasis(curve=curve, matrix=((1, 0, 0), (0, 1, 0)))
     with pytest.raises(ValueError):
         CycleBasis(curve=curve, matrix=((-1, 1, 0),))  # wrong row count
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="primitively"):
         # Spans only an index-2 sublattice.
         CycleBasis(curve=curve, matrix=((-2, 2, 0), (-1, 0, 1)))
+    with pytest.raises(ValueError, match="primitively"):
+        # Index 3; the second row owns the unit column e2, the first owns none.
+        CycleBasis(curve=curve, matrix=((-3, 3, 0), (-1, 0, 1)))
+    # The fundamental basis owns its cotree columns, so no Smith form runs.
+    smith_calls.clear()
+    cycle_basis(curve)
+    assert smith_calls == []
+    # Moved by [[1, 1], [1, 2]]: no row owns a unit column, so the Smith
+    # form decides, and accepts.
+    moved = ((-2, 1, 1), (-3, 1, 2))
+    assert CycleBasis(curve=curve, matrix=moved).matrix == moved
+    assert len(smith_calls) == 1
+    # A self-loop is a cycle on its own (its endpoints cancel); a bridge is not.
+    bell = dumbbell_curve()
+    assert CycleBasis(curve=bell, matrix=((-1, 0, 0), (0, 1, 0))).h == 2
+    with pytest.raises(ValueError, match="kernel"):
+        CycleBasis(curve=bell, matrix=((1, 0, 1), (0, 1, 0)))
 
 
 def test_boundary_matrix_shape():

@@ -6,7 +6,7 @@ import pytest
 
 from conftest import dumbbell_curve, loop_curve, theta_curve, theta_unit_curve
 from monopair.errors import DegeneratePairingError
-from monopair.graphs import CycleBasis, cycle_basis
+from monopair.graphs import CycleBasis, Edge, MonoidVector, TropicalCurve, cycle_basis
 from monopair.intlinalg import mat_mul, transpose
 from monopair.pairing import (
     IntSymMatrix,
@@ -86,6 +86,49 @@ def test_pairing_matrix_theta():
     for i, ri in enumerate(basis.matrix):
         for j, rj in enumerate(basis.matrix):
             assert pm.entries[i][j].coords == pairing_oracle(ri, rj, curve)
+
+
+def large_curve(rng, n_vertices, h, base_rank):
+    """Connected curve with first Betti number h: a random spanning tree, a
+    self-loop, an edge parallel to a tree edge, and h - 2 random edges."""
+    pairs = [(rng.randrange(i), i) for i in range(1, n_vertices)]
+    pairs += [(0, 0), pairs[0]]
+    pairs += [(rng.randrange(n_vertices), rng.randrange(n_vertices)) for _ in range(h - 2)]
+    return TropicalCurve(
+        base_rank=base_rank,
+        vertices=tuple(("v%03d" % i, 0) for i in range(n_vertices)),
+        edges=tuple(
+            Edge(
+                "e%03d" % k,
+                "v%03d" % a,
+                "v%03d" % b,
+                MonoidVector(tuple(rng.randint(1, 5) for _ in range(base_rank))),
+            )
+            for k, (a, b) in enumerate(pairs)
+        ),
+    )
+
+
+def test_pairing_matrix_matches_oracle_large():
+    rng = random.Random(47)
+    for base_rank in (1, 2, 3):
+        curve = large_curve(rng, 20, 40 + base_rank, base_rank)
+        basis = cycle_basis(curve)
+        moved = mat_mul(random_unimodular(rng, basis.h), [list(r) for r in basis.matrix])
+        # Add a row through the densest column to every row missing it, so
+        # that all h rows pass through one edge (still a unimodular move).
+        dense = max(range(len(curve.edges)), key=lambda e: sum(1 for r in moved if r[e]))
+        p = next(i for i, r in enumerate(moved) if r[dense])
+        for i, r in enumerate(moved):
+            if not r[dense]:
+                moved[i] = [x + y for x, y in zip(r, moved[p])]
+        assert all(r[dense] for r in moved)
+        moved_basis = CycleBasis(curve=curve, matrix=tuple(tuple(r) for r in moved))
+        for b in (basis, moved_basis):
+            pm = pairing_matrix(curve, b)
+            for i, ri in enumerate(b.matrix):
+                for j, rj in enumerate(b.matrix):
+                    assert pm.entries[i][j].coords == pairing_oracle(ri, rj, curve)
 
 
 def test_pairing_matrix_dumbbell_bridge_free():
@@ -200,8 +243,6 @@ def test_tree_edge_length_is_irrelevant_when_unused():
 
 
 def test_unused_forest_edge_perturbation_random():
-    from monopair.graphs import Edge, MonoidVector, TropicalCurve
-
     rng = random.Random(43)
     checked = 0
     while checked < 20:
@@ -255,8 +296,6 @@ def test_json_shapes():
 
 
 def test_disconnected_pairing_is_block_diagonal():
-    from monopair.graphs import Edge, MonoidVector, TropicalCurve
-
     two_loops = TropicalCurve(
         base_rank=1,
         vertices=(("u", 0), ("v", 0)),
