@@ -6,13 +6,8 @@ specializations, component groups, the torsion / Betti / Hodge shadows of
 the weight filtration with their unipotent monodromy operators, and a
 brute-force-verifiable calculus of (variegated) extensions of finite abelian
 groups.
-
-The exhaustive extension searches run on a compiled core when built, with a
-pure-Python fallback selected automatically at import
-(``monopair.kernel_backend()`` reports which one is active).
 """
 
-from . import _kernels
 from .errors import (
     BudgetExceededError,
     DegeneratePairingError,
@@ -69,8 +64,3 @@ from .extpan import (
 )
 
 __version__ = "0.1.0"
-
-
-def kernel_backend():
-    """Name of the active search-kernel backend: 'compiled' or 'pure'."""
-    return _kernels.BACKEND

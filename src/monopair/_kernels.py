@@ -1,8 +1,7 @@
-"""Shared problem encodings for the search kernels.
+"""Search kernels behind the brute-force oracles of ``extpan.bruteforce``.
 
-Both backends (compiled and pure) consume the same flat integer arrays, so
-the expensive combinatorial precomputation lives here and is done once per
-problem shape.
+Each problem is encoded once as flat integer lists, then solved by an
+iterative depth-first search over those lists.
 
 Encodings
 ---------
@@ -143,3 +142,113 @@ def cocycle_system(q_add, q_size, n):
         "chk_toff": chk_toff,
         "chk_terms": chk_terms,
     }
+
+
+def search_coboundary(q_size, t_size, t_add, t_neg, diff, cons, offsets):
+    """First h (list of target indices, h[0] = 0) with delta-h == diff, or None.
+
+    Depth-first over h[1..q_size-1]; a constraint (a, b, ab) at level L has
+    all slots assigned once h[L] is, and reads
+    ``h[a] + h[b] - h[ab] == diff[a*q_size + b]`` in the index-encoded group.
+    Candidates are tried in increasing index order, so the result is the
+    lexicographically least witness.
+    """
+    if q_size == 1:
+        return [0]
+    h = [0] * q_size
+    level = 1
+    h[level] = -1
+    while level >= 1:
+        h[level] += 1
+        if h[level] >= t_size:
+            level -= 1
+            continue
+        ok = True
+        for c in range(offsets[level], offsets[level + 1]):
+            a = cons[3 * c]
+            b = cons[3 * c + 1]
+            ab = cons[3 * c + 2]
+            if t_add[t_add[h[a] * t_size + h[b]] * t_size + t_neg[h[ab]]] != diff[a * q_size + b]:
+                ok = False
+                break
+        if not ok:
+            continue
+        if level == q_size - 1:
+            return h
+        level += 1
+        h[level] = -1
+    return None
+
+
+def count_cocycles(n, system, collect=False):
+    """Count (or list) solutions of the leveled constraint system mod n.
+
+    With ``collect`` the full value tuples are returned instead of a count;
+    only use that at small scales.
+    """
+    nunk = system["nunk"]
+    if nunk == 0:
+        return [()] if collect else 1
+    kinds = system["kinds"]
+    sol_inv = system["sol_inv"]
+    sol_toff = system["sol_toff"]
+    sol_terms = system["sol_terms"]
+    chk_coff = system["chk_coff"]
+    chk_toff = system["chk_toff"]
+    chk_terms = system["chk_terms"]
+
+    values = [0] * nunk
+    found = [] if collect else 0
+    count = 0
+    level = 0
+    values[0] = -1
+    descend_fresh = kinds[0] == 1
+    # Iterative backtracking; at a solved level the value is computed once
+    # (flagged by descend_fresh) and the level behaves as branch-of-one.
+    while level >= 0:
+        if kinds[level]:
+            if not descend_fresh:
+                # Exhausted the single forced candidate; backtrack.
+                level -= 1
+                descend_fresh = False
+                continue
+            acc = 0
+            for t in range(sol_toff[level], sol_toff[level + 1]):
+                acc += sol_terms[2 * t + 1] * values[sol_terms[2 * t]]
+            values[level] = (acc * sol_inv[level]) % n
+            descend_fresh = False
+        else:
+            if descend_fresh:
+                values[level] = 0
+                descend_fresh = False
+            else:
+                values[level] += 1
+            if values[level] >= n:
+                level -= 1
+                descend_fresh = False
+                continue
+        ok = True
+        for c in range(chk_coff[level], chk_coff[level + 1]):
+            acc = 0
+            for t in range(chk_toff[c], chk_toff[c + 1]):
+                acc += chk_terms[2 * t + 1] * values[chk_terms[2 * t]]
+            if acc % n:
+                ok = False
+                break
+        if not ok:
+            if kinds[level]:
+                level -= 1
+                descend_fresh = False
+            continue
+        if level == nunk - 1:
+            if collect:
+                found.append(tuple(values))
+            else:
+                count += 1
+            if kinds[level]:
+                level -= 1
+                descend_fresh = False
+            continue
+        level += 1
+        descend_fresh = True
+    return found if collect else count

@@ -10,6 +10,7 @@ flag errors.
 """
 
 import argparse
+import functools
 import json
 import sys
 
@@ -264,7 +265,10 @@ def _cmd_selftest(args):
     return report, (0 if report["all_passed"] else 1)
 
 
+@functools.cache
 def build_parser():
+    """The argument parser, built once per process: building the nine
+    subparsers costs more than most commands take to run."""
     parser = argparse.ArgumentParser(
         prog="monopair",
         description="Monodromy pairings of dual graphs and variegated extensions "

@@ -6,7 +6,7 @@ coboundary-witness search, direct enumeration of all normalized symmetric
 cocycle tables (searched, not constructed from representatives), closure of
 the coboundary subgroup from its generators, and an exact-linear-algebra
 count of cocycles via Smith normal form.  The search loops are the hot
-kernels of the package and dispatch to the compiled backend when available.
+kernels of the package and live in ``monopair._kernels``.
 """
 
 from itertools import product
@@ -20,26 +20,24 @@ def _flat_add(ops):
     return [v for row in ops.add for v in row]
 
 
-def search_coboundary_witness(diff, backend=None):
+def search_coboundary_witness(diff):
     """Exhaustive search for h with delta-h == diff; oracle twin of the
     constructive witness.  Returns the lexicographically least h or None."""
-    impl = backend if backend is not None else _kernels
     qops = diff.source.ops()
     tops = diff.target.ops()
     cons, offsets = _kernels.coboundary_constraints(_flat_add(qops), qops.n)
     flat_diff = [v for row in diff.matrix for v in row]
-    return impl.search_coboundary(
+    return _kernels.search_coboundary(
         qops.n, tops.n, _flat_add(tops), list(tops.neg), flat_diff, cons, offsets
     )
 
 
-def count_cocycles_mod(source, n, backend=None, collect=False):
+def count_cocycles_mod(source, n, collect=False):
     """Number (or list) of normalized symmetric Z/n-cocycle tables on source,
     found by leveled backtracking over table entries."""
-    impl = backend if backend is not None else _kernels
     qops = source.ops()
     system = _kernels.cocycle_system(_flat_add(qops), qops.n, n)
-    return impl.count_cocycles(n, system, collect=collect)
+    return _kernels.count_cocycles(n, system, collect=collect)
 
 
 def count_cocycles_linalg(source, n):
@@ -115,13 +113,13 @@ def coboundary_subgroup_order(source, n):
     return len(closure)
 
 
-def ext1_order_exhaustive(source, target, backend=None):
+def ext1_order_exhaustive(source, target):
     """Class count by exhaustive coboundary-quotient counting, component by
     component in the target: (number of cocycle tables) / (number of
     coboundary tables), multiplied over the cyclic factors."""
     order = 1
     for n in target.factors:
-        z2 = count_cocycles_mod(source, n, backend=backend)
+        z2 = count_cocycles_mod(source, n)
         b2 = coboundary_subgroup_order(source, n)
         if z2 % b2:
             raise AssertionError("coboundary subgroup does not divide the cocycles")
@@ -195,7 +193,7 @@ def all_cocycle_tables_literal(source, target):
     return tables
 
 
-def variegated_iso_search(first, second, backend=None):
+def variegated_iso_search(first, second):
     """Oracle for variegated isomorphism: exhaustive search for a filtered
     isomorphism fixing the middle group pointwise and inducing the identity
     on Q, i.e. a coboundary witness between the two middle-valued tables."""
@@ -210,7 +208,7 @@ def variegated_iso_search(first, second, backend=None):
         for r1, r2 in zip(first.w.matrix, second.w.matrix)
     )
     diff = Cocycle(first.w.source, middle, matrix, check=False)
-    return search_coboundary_witness(diff, backend=backend) is not None
+    return search_coboundary_witness(diff) is not None
 
 
 def hom_count_exhaustive(source, target):

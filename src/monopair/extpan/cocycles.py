@@ -65,11 +65,6 @@ class Cocycle:
                             % (a, b, c)
                         )
 
-    def value(self, a, b):
-        """Table value on source elements (not indices)."""
-        qidx = self.source.ops().index
-        return self.target.elements()[self.matrix[qidx[a]][qidx[b]]]
-
     def transgressions(self):
         """Sum along each cyclic generator, as target element indices."""
         qops = self.source.ops()
@@ -103,14 +98,6 @@ def zero_cocycle(source, target):
     qn = source.order
     row = (0,) * qn
     return Cocycle(source, target, (row,) * qn, check=False)
-
-
-def cocycle_from_values(source, target, fn):
-    """Build a table from a function on source element pairs."""
-    elems = source.elements()
-    tindex = target.ops().index
-    matrix = [[tindex[fn(a, b)] for b in elems] for a in elems]
-    return Cocycle(source, target, matrix)
 
 
 def add_tables(x, y):

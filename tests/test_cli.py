@@ -4,6 +4,8 @@ import json
 import subprocess
 import sys
 
+from monopair.cli import main
+
 LOOP = {
     "base_rank": 1,
     "vertices": [{"id": "v0", "genus": 0}],
@@ -205,6 +207,36 @@ def test_weights_validation(tmp_path):
     assert run_cli("specialize", loop, "--weights", "0").returncode == 2
     assert run_cli("specialize", loop, "--weights", "1,2").returncode == 2
     assert run_cli("specialize", loop, "--weights", "x").returncode == 2
+
+
+def run_in_process(capsys, *args):
+    try:
+        code = main(list(args))
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def test_repeated_main_calls_match_fresh_runs(tmp_path, capsys):
+    """The parser is built once per process; no call may see the flags or
+    defaults of the call before it."""
+    theta = write(tmp_path, "theta.json", THETA)
+    sequence = [
+        ("pl", theta, "--mod", "3"),
+        ("pl", theta),
+        ("compgroup", theta, "--format", "text"),
+        ("compgroup", theta),
+        ("pl", theta, "--frobnicate"),
+        ("pl", theta, "--mod", "1"),
+        ("pairing", theta),
+    ]
+    codes = []
+    for args in sequence:
+        fresh = run_cli(*args)
+        assert run_in_process(capsys, *args) == (fresh.returncode, fresh.stdout, fresh.stderr)
+        codes.append(fresh.returncode)
+    assert codes == [0, 0, 0, 0, 2, 2, 0]
 
 
 def test_determinism_byte_identical(tmp_path):

@@ -1,10 +1,7 @@
-"""Parity between the compiled and pure search kernels."""
+"""The search kernels against planted witnesses and exact linear algebra."""
 
 import random
 
-import pytest
-
-from monopair import _kernels
 from monopair.extpan.bruteforce import (
     count_cocycles_linalg,
     count_cocycles_mod,
@@ -17,16 +14,8 @@ from monopair.extpan.cocycles import (
 )
 from monopair.extpan.groups import FinAbGroup
 
-BACKENDS = _kernels.backends()
 
-
-def test_active_backend_reported():
-    assert _kernels.BACKEND in BACKENDS
-
-
-@pytest.mark.parametrize("name", sorted(BACKENDS))
-def test_search_finds_planted_witnesses(name):
-    backend = BACKENDS[name]
+def test_search_finds_planted_witnesses():
     rng = random.Random(67)
     for factors, tfactors in [
         ((2,), (2,)),
@@ -41,59 +30,35 @@ def test_search_finds_planted_witnesses(name):
         for _ in range(10):
             h = [0] + [rng.randrange(tops.n) for _ in range(q.order - 1)]
             diff = coboundary_of(q, t, h)
-            found = search_coboundary_witness(diff, backend=backend)
+            found = search_coboundary_witness(diff)
             assert found is not None
             assert coboundary_of(q, t, found).matrix == diff.matrix
 
 
-@pytest.mark.parametrize("name", sorted(BACKENDS))
-def test_search_rejects_noncoboundaries(name):
-    backend = BACKENDS[name]
+def test_search_rejects_noncoboundaries():
     for q, p in [
         (FinAbGroup((2,)), FinAbGroup((2,))),
         (FinAbGroup((4,)), FinAbGroup((2,))),
         (FinAbGroup((2, 2)), FinAbGroup((2,))),
     ]:
         for cls in _ext1_classes_unchecked(q, p):
-            witness = search_coboundary_witness(cls.cocycle, backend=backend)
+            witness = search_coboundary_witness(cls.cocycle)
             assert (witness is not None) == cls.is_split()
 
 
-def test_backends_agree_on_searches():
-    if len(BACKENDS) < 2:
-        pytest.skip("compiled backend not built")
-    rng = random.Random(71)
-    q = FinAbGroup((4, 2))
-    t = FinAbGroup((2, 2))
-    tops = t.ops()
-    for _ in range(20):
-        h = [0] + [rng.randrange(tops.n) for _ in range(q.order - 1)]
-        diff = coboundary_of(q, t, h)
-        results = {
-            name: search_coboundary_witness(diff, backend=impl)
-            for name, impl in BACKENDS.items()
-        }
-        values = list(results.values())
-        assert all(v == values[0] for v in values)
-
-
-@pytest.mark.parametrize("name", sorted(BACKENDS))
-def test_count_matches_linear_algebra(name):
-    backend = BACKENDS[name]
+def test_count_matches_linear_algebra():
     for factors in [(), (2,), (3,), (4,), (2, 2), (6,), (4, 2), (8,), (2, 2, 2)]:
         q = FinAbGroup(factors)
         for n in (2, 3, 4):
             if n ** max(0, q.order - 1) > 20000:
                 continue
-            assert count_cocycles_mod(q, n, backend=backend) == count_cocycles_linalg(q, n)
+            assert count_cocycles_mod(q, n) == count_cocycles_linalg(q, n)
 
 
-@pytest.mark.parametrize("name", sorted(BACKENDS))
-def test_collect_mode_lists_all_solutions(name):
-    backend = BACKENDS[name]
+def test_collect_mode_lists_all_solutions():
     q = FinAbGroup((4,))
-    tables = count_cocycles_mod(q, 2, backend=backend, collect=True)
-    assert len(tables) == count_cocycles_mod(q, 2, backend=backend)
+    tables = count_cocycles_mod(q, 2, collect=True)
+    assert len(tables) == count_cocycles_mod(q, 2)
     assert len(set(tables)) == len(tables)
     # Each collected assignment reproduces a valid table: check via the
     # normalized symmetric reconstruction and the cocycle validator.
@@ -116,6 +81,5 @@ def test_trivial_source_edge_cases():
     q = FinAbGroup(())
     t = FinAbGroup((4,))
     diff = zero_cocycle(q, t)
-    for impl in BACKENDS.values():
-        assert search_coboundary_witness(diff, backend=impl) == [0]
-        assert count_cocycles_mod(q, 4, backend=impl) == 1
+    assert search_coboundary_witness(diff) == [0]
+    assert count_cocycles_mod(q, 4) == 1
