@@ -53,6 +53,7 @@ from .extpan import (
     VariegatedClass,
     act,
     baer_sum,
+    class_of,
     difference,
     ext1_classes,
     ext1_order,

@@ -20,9 +20,9 @@ from .errors import (
     InputFormatError,
     InvalidCurveError,
 )
-from .extpan.cocycles import Cocycle, ExtClass, parse_class_spec
+from .extpan.cocycles import Cocycle, class_of, parse_class_spec
 from .extpan.groups import parse_group_spec
-from .extpan.variegated import torsor_report
+from .extpan.variegated import check_budget, torsor_report
 from .graphs import curve_from_dict, cycle_basis, validate
 from .pairing import (
     component_group,
@@ -94,7 +94,8 @@ def _specialized(curve, weights):
 
 
 def _load_class_spec(spec, source, target, flag):
-    """--e/--f value: 'split', 'nonsplit', or a cocycle-table JSON file."""
+    """--e/--f value: 'split', 'nonsplit', or a cocycle-table JSON file,
+    which is validated and reduced to its class."""
     if spec in ("split", "nonsplit"):
         try:
             return parse_class_spec(spec, source, target)
@@ -136,7 +137,7 @@ def _load_class_spec(spec, source, target, flag):
             % (flag, spec)
         )
     try:
-        return ExtClass(Cocycle(source, target, matrix))
+        return class_of(Cocycle(source, target, matrix))
     except ValueError as exc:
         raise InputFormatError("%s (%s): %s" % (flag, spec, exc))
 
@@ -253,6 +254,8 @@ def _cmd_extpan(args):
         except InputFormatError as exc:
             raise FlagError("%s: %s" % (flag, exc))
     p, q, r = groups["--p"], groups["--q"], groups["--r"]
+    # Before any table is built: the tables grow with the square of the orders.
+    check_budget(p, q, r)
     e_class = _load_class_spec(args.e, q, r, "--e")
     f_class = _load_class_spec(args.f, r, p, "--f")
     return torsor_report(e_class, f_class).to_dict(), 0

@@ -20,15 +20,26 @@ def _flat_add(ops):
     return [v for row in ops.add for v in row]
 
 
+def _search_setup(ops):
+    """Flattened addition table, negation list and coboundary constraints of
+    a group, built by the first search over it and kept on its ops."""
+    if ops.search_setup is None:
+        flat_add = _flat_add(ops)
+        cons = _kernels.coboundary_constraints(flat_add, ops.n)
+        ops.search_setup = (flat_add, list(ops.neg), cons)
+    return ops.search_setup
+
+
 def search_coboundary_witness(diff):
     """Exhaustive search for h with delta-h == diff; oracle twin of the
     constructive witness.  Returns the lexicographically least h or None."""
     qops = diff.source.ops()
     tops = diff.target.ops()
-    cons, offsets = _kernels.coboundary_constraints(_flat_add(qops), qops.n)
+    cons, offsets = _search_setup(qops)[2]
+    t_add, t_neg, _ = _search_setup(tops)
     flat_diff = [v for row in diff.matrix for v in row]
     return _kernels.search_coboundary(
-        qops.n, tops.n, _flat_add(tops), list(tops.neg), flat_diff, cons, offsets
+        qops.n, tops.n, t_add, t_neg, flat_diff, cons, offsets
     )
 
 
@@ -197,9 +208,7 @@ def variegated_iso_search(first, second):
     """Oracle for variegated isomorphism: exhaustive search for a filtered
     isomorphism fixing the middle group pointwise and inducing the identity
     on Q, i.e. a coboundary witness between the two middle-valued tables."""
-    if first.f_class.cocycle.matrix != second.f_class.cocycle.matrix:
-        return False
-    if first.e_class != second.e_class:
+    if first.f_class != second.f_class or first.e_class != second.e_class:
         return False
     middle = first.middle
     ops = middle.ops()

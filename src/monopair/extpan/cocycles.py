@@ -1,17 +1,20 @@
-"""Extensions of finite abelian groups via normalized symmetric 2-cocycles.
+"""Extensions of finite abelian groups.
 
-A cocycle is stored as a dense table of target element indices over pairs of
-source elements.  Classes (extensions up to equivalence) are compared through
-their transgression invariants: summing a cocycle along each cyclic generator
-of the source lands in the target modulo the corresponding multiples, and two
-cocycles are cohomologous exactly when all these residues agree.  A witness
-for the coboundary relation is produced constructively by assembling a
-homomorphic section of the classified extension group, never by search; the
-exhaustive searches live in ``bruteforce`` as independent oracles.
+An extension class of Q by T *is* its residue vector in the direct sum of
+the T / m_i T, one entry per cyclic factor Z/m_i of Q: summing a normalized
+symmetric 2-cocycle along the i-th generator lands in T, and two cocycles
+are cohomologous exactly when these transgressions agree modulo m_i T.
+Residues are stored as least-index coset representatives, so classes are
+compared, hashed, Baer-summed and negated without any table.
 
-Representatives of every class come from carry tables: the carry of addition
-in each cyclic factor, scaled by a transversal element of the target modulo
-that factor.
+A cocycle table is built only where a literal table is needed (the
+class-group action, differences, butterfly witnesses, the oracles).  The
+table of a class is its canonical carry table: the carry of addition in each
+cyclic factor, scaled by that factor's residue, built on demand.
+``class_of`` reduces any table to its class.  A witness for the coboundary
+relation is produced constructively by assembling a homomorphic section of
+the classified extension group, never by search; the exhaustive searches
+live in ``bruteforce`` as independent oracles.
 """
 
 from itertools import product
@@ -22,15 +25,20 @@ EXT_BUDGET = 12
 
 
 class Cocycle:
-    """Normalized symmetric 2-cocycle on a factor-presented source group."""
+    """Normalized symmetric 2-cocycle on a factor-presented source group.
+
+    ``matrix`` is a tuple of rows of target element indices.  Outside input
+    (``check=True``) is coerced to integers and validated; tables built by
+    the package (``check=False``) are stored as given.
+    """
 
     def __init__(self, source, target, matrix, check=True):
         self.source = source
         self.target = target
-        self.matrix = tuple(tuple(int(v) for v in row) for row in matrix)
+        self.matrix = matrix
         if check:
+            self.matrix = tuple(tuple(int(v) for v in row) for row in matrix)
             self._validate()
-        self._invariant = None
 
     def _validate(self):
         qn = self.source.order
@@ -70,8 +78,8 @@ class Cocycle:
         qops = self.source.ops()
         tops = self.target.ops()
         out = []
-        for gi, m in enumerate(self.source.factors):
-            g = qops.index[self.source.generators()[gi]]
+        for gen, m in zip(self.source.generators(), self.source.factors):
+            g = qops.index[gen]
             acc = 0
             power = g
             for _ in range(1, m):
@@ -81,7 +89,7 @@ class Cocycle:
         return tuple(out)
 
     def key(self):
-        return (self.source.factors, _target_key(self.target), self.matrix)
+        return (self.source.factors, self.target.key(), self.matrix)
 
     def __eq__(self, other):
         return isinstance(other, Cocycle) and self.key() == other.key()
@@ -90,101 +98,88 @@ class Cocycle:
         return hash(self.key())
 
 
-def _target_key(target):
-    return target.key()
-
-
 def zero_cocycle(source, target):
-    qn = source.order
-    row = (0,) * qn
-    return Cocycle(source, target, (row,) * qn, check=False)
-
-
-def add_tables(x, y):
-    """Pointwise sum of two cocycles over the same source and target."""
-    if x.source != y.source or _target_key(x.target) != _target_key(y.target):
-        raise ValueError("cocycles live over different groups")
-    add = x.target.ops().add
-    matrix = tuple(
-        tuple(add[u][v] for u, v in zip(rx, ry)) for rx, ry in zip(x.matrix, y.matrix)
-    )
-    return Cocycle(x.source, x.target, matrix, check=False)
-
-
-def negate_table(x):
-    neg = x.target.ops().neg
-    matrix = tuple(tuple(neg[v] for v in row) for row in x.matrix)
-    return Cocycle(x.source, x.target, matrix, check=False)
+    return split_class(source, target).cocycle
 
 
 class ExtClass:
-    """An extension class: a cocycle considered up to coboundaries.
+    """An extension class of ``source`` by ``target``: its residue vector.
 
-    Equality and hashing use the transgression residues, which are a complete
-    invariant for finite abelian coefficients (cross-checked exhaustively in
-    the test suite at brute-force scale).
+    ``residues[i]`` is the least target index in the coset of the class's
+    transgression along the i-th cyclic factor Z/m_i of the source, modulo
+    m_i times the target.  The residues are a complete invariant for finite
+    abelian coefficients (cross-checked exhaustively in the test suite at
+    brute-force scale), so identity, equality and hashing read only them.
     """
 
-    def __init__(self, cocycle):
-        self.cocycle = cocycle
+    def __init__(self, source, target, residues):
+        self.source = source
+        self.target = target
+        self.residues = tuple(residues)
+        self._cocycle = None
 
     @property
-    def source(self):
-        return self.cocycle.source
-
-    @property
-    def target(self):
-        return self.cocycle.target
+    def cocycle(self):
+        """The canonical carry table of the residues, built on first use."""
+        if self._cocycle is None:
+            self._cocycle = carry_cocycle(self.source, self.target, self.residues)
+        return self._cocycle
 
     def invariant(self):
-        if self.cocycle._invariant is None:
-            tops = self.target.ops()
-            residues = []
-            for t, m in zip(self.cocycle.transgressions(), self.source.factors):
-                residues.append(tops.coset_table(m)[t])
-            self.cocycle._invariant = tuple(residues)
-        return self.cocycle._invariant
+        return self.residues
 
     def is_cohomologous(self, other):
-        if self.source != other.source or _target_key(self.target) != _target_key(
-            other.target
-        ):
-            raise ValueError("classes live over different groups")
-        return self.invariant() == other.invariant()
+        _require_same_groups(self, other)
+        return self.residues == other.residues
 
     def is_split(self):
-        tops = self.target.ops()
-        return all(
-            tops.coset_table(m)[0] == r
-            for r, m in zip(self.invariant(), self.source.factors)
-        )
-
-    def key(self):
-        return (self.source.factors, _target_key(self.target), self.invariant())
+        return not any(self.residues)
 
     def __eq__(self, other):
-        return isinstance(other, ExtClass) and self.key() == other.key()
+        return isinstance(other, ExtClass) and (
+            self.residues, self.source, self.target
+        ) == (other.residues, other.source, other.target)
 
     def __hash__(self):
-        return hash(self.key())
+        return hash((self.source.factors, self.residues))
 
     def __repr__(self):
-        return "ExtClass(source=%r, invariant=%r)" % (self.source, self.invariant())
+        return "ExtClass(%r, %r, %r)" % (self.source, self.target, self.residues)
+
+
+def _require_same_groups(x, y):
+    if x.source != y.source or x.target != y.target:
+        raise ValueError("extension classes live over different groups")
+
+
+def reduced_class(source, target, transgressions):
+    """The class whose transgression along the i-th cyclic factor of the
+    source is the i-th given target element (any coset representative)."""
+    tops = target.ops()
+    residues = (tops.coset_table(m)[t] for t, m in zip(transgressions, source.factors))
+    return ExtClass(source, target, residues)
+
+
+def class_of(cocycle):
+    """The extension class of a cocycle table."""
+    return reduced_class(cocycle.source, cocycle.target, cocycle.transgressions())
 
 
 def split_class(source, target):
-    return ExtClass(zero_cocycle(source, target))
+    return ExtClass(source, target, (0,) * len(source.factors))
 
 
 def baer_sum(x, y):
-    """Group law on extension classes: pointwise sum of cocycle tables."""
-    if x.source != y.source or _target_key(x.target) != _target_key(y.target):
-        raise ValueError("Baer sum needs matching source and target groups")
-    return ExtClass(add_tables(x.cocycle, y.cocycle))
+    """Group law on extension classes: residues add factor by factor."""
+    _require_same_groups(x, y)
+    add = x.target.ops().add
+    sums = (add[r][s] for r, s in zip(x.residues, y.residues))
+    return reduced_class(x.source, x.target, sums)
 
 
 def class_negate(x):
-    return ExtClass(negate_table(x.cocycle))
+    neg = x.target.ops().neg
+    return reduced_class(x.source, x.target, (neg[r] for r in x.residues))
 
 
 def carry_cocycle(source, target, params):
@@ -193,20 +188,13 @@ def carry_cocycle(source, target, params):
     params: target element indices c_i; the table sends (a, b) to the sum of
     c_i over the factors whose components produce a carry (a_i + b_i >= m_i).
     """
-    factors = source.factors
-    elems = source.elements()
-    tops = target.ops()
-    matrix = []
-    for a in elems:
-        row = []
-        for b in elems:
-            acc = 0
-            for ai, bi, m, c in zip(a, b, factors, params):
-                if ai + bi >= m:
-                    acc = tops.add[acc][c]
-            row.append(acc)
-        matrix.append(tuple(row))
-    return Cocycle(source, target, tuple(matrix), check=False)
+    add = target.ops().add
+    # sums[mask] is the sum of c_i over the set bits i of mask.
+    sums = [0]
+    for c in params:
+        sums += [add[v][c] for v in sums]
+    matrix = tuple(tuple(map(sums.__getitem__, row)) for row in source.carry_masks())
+    return Cocycle(source, target, matrix, check=False)
 
 
 def ext1_order(source, target):
@@ -221,14 +209,12 @@ def ext1_order(source, target):
 def _ext1_classes_unchecked(source, target):
     tops = target.ops()
     transversals = [tops.coset_transversal(m) for m in source.factors]
-    classes = []
-    for params in product(*transversals):
-        classes.append(ExtClass(carry_cocycle(source, target, params)))
-    return classes
+    return [ExtClass(source, target, params) for params in product(*transversals)]
 
 
 def ext1_classes(source, target):
-    """Pairwise non-cohomologous representatives of every extension class.
+    """Every extension class, once: all residue vectors of transversal
+    elements, in lexicographic order.
 
     Brute-force budget: both groups of order <= 12.
     """
@@ -299,7 +285,7 @@ def coboundary_witness(diff):
 
 
 def is_coboundary(diff):
-    return ExtClass(diff).is_split()
+    return class_of(diff).is_split()
 
 
 def pullback_cocycle(f, source, phi):
@@ -329,8 +315,6 @@ def parse_class_spec(spec, source, target):
                 "'nonsplit' needs the extension-class group to have order 2, "
                 "got order %d" % ext1_order(source, target)
             )
-        for cls in _ext1_classes_unchecked(source, target):
-            if not cls.is_split():
-                return cls
-        raise AssertionError("order-2 class group without a nonsplit class")
+        # Classes come in lexicographic residue order, the split one first.
+        return _ext1_classes_unchecked(source, target)[1]
     raise ValueError("class spec must be 'split' or 'nonsplit', got %r" % spec)

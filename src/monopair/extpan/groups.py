@@ -30,6 +30,8 @@ class GroupOps:
         self.neg = [self.index[neg_fn(a)] for a in self.elems]
         self._coset_reps = {}
         self._multiples = {}
+        # Tables of the brute-force coboundary search, built by ``bruteforce``.
+        self.search_setup = None
 
     def sub(self, i, j):
         return self.add[i][self.neg[j]]
@@ -86,6 +88,9 @@ class FinAbGroup:
             raise InputFormatError("group factors must all be >= 2, got %r" % (factors,))
         self.factors = factors
         self._ops = None
+        self._elements = None
+        self._carry_masks = None
+        self._generators = None
 
     @property
     def order(self):
@@ -99,7 +104,9 @@ class FinAbGroup:
         return not self.factors
 
     def elements(self):
-        return tuple(product(*(range(m) for m in self.factors)))
+        if self._elements is None:
+            self._elements = tuple(product(*(range(m) for m in self.factors)))
+        return self._elements
 
     def zero(self):
         return (0,) * len(self.factors)
@@ -112,10 +119,22 @@ class FinAbGroup:
 
     def generators(self):
         """Unit tuple generating each cyclic factor."""
-        gens = []
-        for i in range(len(self.factors)):
-            gens.append(tuple(1 if j == i else 0 for j in range(len(self.factors))))
-        return tuple(gens)
+        if self._generators is None:
+            units = range(len(self.factors))
+            self._generators = tuple(tuple(int(j == i) for j in units) for i in units)
+        return self._generators
+
+    def carry_masks(self):
+        """Table over pairs of element indices: bit i of entry (a, b) is set
+        where the i-th components carry, a_i + b_i >= m_i.  Built once."""
+        if self._carry_masks is None:
+            elems = self.elements()
+            bits = tuple(enumerate(self.factors))
+            self._carry_masks = tuple(
+                tuple(sum(1 << i for i, m in bits if a[i] + b[i] >= m) for b in elems)
+                for a in elems
+            )
+        return self._carry_masks
 
     def ops(self):
         if self._ops is None:
@@ -210,7 +229,7 @@ class TwistedGroup:
         return "TwistedGroup(base=%r, fiber=%r)" % (self.base, self.fiber)
 
 
-def homomorphisms(source, target_ops, target_killed=None):
+def homomorphisms(source, target_ops):
     """All homomorphisms from a factor-presented group into an indexed group.
 
     Each is returned as a tuple mapping source element index -> target element
@@ -222,12 +241,7 @@ def homomorphisms(source, target_ops, target_killed=None):
     if not factors:
         return ((0,),)
     ops = target_ops
-    candidate_images = []
-    for m in factors:
-        if target_killed is not None and m in target_killed:
-            candidate_images.append(target_killed[m])
-        else:
-            candidate_images.append(ops.elements_killed_by(m))
+    candidate_images = [ops.elements_killed_by(m) for m in factors]
     homs = []
     for images in product(*candidate_images):
         table = []

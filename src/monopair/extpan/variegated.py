@@ -25,9 +25,12 @@ from .cocycles import (
     _ext1_classes_unchecked,
     baer_sum,
     class_negate,
+    class_of,
+    coboundary_of,
     coboundary_witness,
     ext1_order,
     pullback_cocycle,
+    reduced_class,
 )
 from .groups import TwistedGroup, homomorphisms
 
@@ -44,13 +47,22 @@ def twisted_middle(f_class):
 def pushforward(w_ext, twisted):
     """Compose a class of Q by the twisted group with its canonical projection.
 
-    Returns the induced class of Q by the base group R.
+    Returns the induced class of Q by the base group R, residue by residue:
+    the projection is onto, so it carries m*M onto m*R and each residue of
+    M / m*M to one of R / m*R.
     """
     if w_ext.target != twisted:
         raise ValueError("class target is not the given twisted group")
     proj = twisted.project_table()
-    matrix = tuple(tuple(proj[v] for v in row) for row in w_ext.cocycle.matrix)
-    return ExtClass(Cocycle(w_ext.source, twisted.base, matrix, check=False))
+    return reduced_class(w_ext.source, twisted.base, (proj[v] for v in w_ext.residues))
+
+
+def _projected(w, twisted):
+    """The literal table of ``w`` composed with the projection of its
+    twisted target onto the base group."""
+    proj = twisted.project_table()
+    matrix = tuple(tuple(proj[v] for v in row) for row in w.matrix)
+    return Cocycle(w.source, twisted.base, matrix, check=False)
 
 
 @dataclass(frozen=True)
@@ -59,7 +71,8 @@ class VariegatedClass:
 
     ``w`` is the underlying cocycle of Q valued in the middle group of F, and
     ``butterfly`` is the table of a map Q -> R (element indices) whose
-    coboundary carries the projection of ``w`` exactly onto E's cocycle.
+    coboundary carries the projection of ``w`` exactly onto E's canonical
+    table ``e_class.cocycle``.
     """
 
     e_class: ExtClass
@@ -76,7 +89,7 @@ class VariegatedClass:
         return self.w.target
 
     def w_class(self):
-        return ExtClass(self.w)
+        return class_of(self.w)
 
     def is_isomorphic(self, other):
         """Filtered isomorphism respecting both identifications.
@@ -84,9 +97,7 @@ class VariegatedClass:
         Equivalent to the two cocycles being cohomologous as extensions of Q
         by the (shared) middle group.
         """
-        if self.f_class.cocycle.matrix != other.f_class.cocycle.matrix:
-            return False
-        if self.e_class != other.e_class:
+        if self.f_class != other.f_class or self.e_class != other.e_class:
             return False
         return self.w_class().is_cohomologous(other.w_class())
 
@@ -97,7 +108,7 @@ class VariegatedClass:
         )
 
 
-def _check_budget(*groups):
+def check_budget(*groups):
     for g in groups:
         if g.order > FIBER_BUDGET:
             raise BudgetExceededError(
@@ -130,20 +141,19 @@ def extpan_fiber(e_class, f_class):
             % (r, f_class.source)
         )
     p = f_class.target
-    _check_budget(p, q, r)
+    check_budget(p, q, r)
     middle = twisted_middle(f_class)
     fiber = []
     for cls in _ext1_classes_unchecked(q, middle):
-        pushed = pushforward(cls, middle)
-        if not pushed.is_cohomologous(e_class):
+        if pushforward(cls, middle) != e_class:
             continue
-        k = coboundary_witness(_difference_table(pushed.cocycle, e_class.cocycle))
+        w = cls.cocycle
+        pushed = _projected(w, middle)
+        k = coboundary_witness(_difference_table(pushed, e_class.cocycle))
         if k is None:
             raise AssertionError("cohomologous pushout without a witness")
         fiber.append(
-            VariegatedClass(
-                e_class=e_class, f_class=f_class, w=cls.cocycle, butterfly=tuple(k)
-            )
+            VariegatedClass(e_class=e_class, f_class=f_class, w=w, butterfly=tuple(k))
         )
     if not fiber:
         raise AssertionError("variegated fiber is empty; obstruction theory violated")
@@ -183,58 +193,32 @@ def difference(base, target):
     answer is well defined up to the stabilizer, and acting with it on the
     base always lands in the class of the target.
     """
-    if (
-        base.f_class.cocycle.matrix != target.f_class.cocycle.matrix
-        or base.e_class != target.e_class
-    ):
+    if base.f_class != target.f_class or base.e_class != target.e_class:
         raise MonopairError("fibers mismatch: the two classes refine different (E, F)")
     middle = base.middle
     q = base.q_group
     r = middle.base
     p = middle.fiber
-    proj = middle.project_table()
-
-    def projected(w):
-        return Cocycle(
-            q,
-            r,
-            tuple(tuple(proj[v] for v in row) for row in w.matrix),
-            check=False,
-        )
-
-    k = coboundary_witness(_difference_table(projected(target.w), projected(base.w)))
+    k = coboundary_witness(
+        _difference_table(_projected(target.w, middle), _projected(base.w, middle))
+    )
     if k is None:
         raise MonopairError("fibers mismatch: projections are not cohomologous")
     # Lift k through the canonical section r -> (r, 0) and absorb its
     # coboundary into the target, making both projections literally equal.
-    ops = middle.ops()
-    relems = r.elements()
-    pzero = p.zero()
-    section = [ops.index[(relems[i], pzero)] for i in range(r.order)]
-    qadd = q.ops().add
-    qn = q.order
-    lifted = [section[v] for v in k]
-    adjust = tuple(
-        tuple(
-            ops.sub(ops.add[lifted[a]][lifted[b]], lifted[qadd[a][b]])
-            for b in range(qn)
-        )
-        for a in range(qn)
-    )
-    target_norm = _difference_table(target.w, Cocycle(q, middle, adjust, check=False))
+    index = middle.ops().index
+    section = [index[(e, p.zero())] for e in r.elements()]
+    adjust = coboundary_of(q, middle, [section[v] for v in k])
+    target_norm = _difference_table(target.w, adjust)
     diff = _difference_table(target_norm, base.w)
     # The normalized difference projects to zero, so it is included from P.
     include = middle.include_table()
     back = {fi: pi for pi, fi in enumerate(include)}
-    matrix = []
-    for row in diff.matrix:
-        out = []
-        for v in row:
-            if v not in back:
-                raise AssertionError("difference does not land in the bottom group")
-            out.append(back[v])
-        matrix.append(tuple(out))
-    return ExtClass(Cocycle(q, p, tuple(matrix), check=False))
+    try:
+        matrix = tuple(tuple(back[v] for v in row) for row in diff.matrix)
+    except KeyError:
+        raise AssertionError("difference does not land in the bottom group")
+    return class_of(Cocycle(q, p, matrix, check=False))
 
 
 def connecting_image(f_class, q):
@@ -244,11 +228,11 @@ def connecting_image(f_class, q):
     of the class-group action on the variegated fiber.
     """
     r = f_class.source
-    image = {}
-    for phi in homomorphisms(q, r.ops()):
-        cls = ExtClass(pullback_cocycle(f_class.cocycle, q, phi))
-        image.setdefault(cls.invariant(), cls)
-    return [image[key] for key in sorted(image)]
+    image = {
+        class_of(pullback_cocycle(f_class.cocycle, q, phi))
+        for phi in homomorphisms(q, r.ops())
+    }
+    return sorted(image, key=ExtClass.invariant)
 
 
 @dataclass(frozen=True)

@@ -122,6 +122,30 @@ def test_extpan_budget_exit_2():
     assert "budget" in result.stderr
 
 
+def test_extpan_budget_checked_before_any_table(tmp_path, monkeypatch, capsys):
+    """Over-budget groups are refused before any group table or cocycle is
+    built, so the refusal costs the same however large the groups are."""
+    from monopair.extpan.groups import FinAbGroup
+
+    def no_tables(self):
+        raise AssertionError("group tables built before the budget check")
+
+    monkeypatch.setattr(FinAbGroup, "ops", no_tables)
+    table = {"source": [9], "target": [2], "table": [[[0]] * 9] * 9}
+    path = write(tmp_path, "big.json", table)
+    for flags in (
+        {"--r": "9", "--e": "nonsplit"},
+        {"--r": "9", "--f": "nonsplit"},
+        {"--q": "9", "--e": path},
+    ):
+        argv = ["extpan"]
+        for flag, value in dict({"--p": "2", "--q": "2", "--r": "2"}, **flags).items():
+            argv += [flag, value]
+        code, out, err = run_in_process(capsys, *argv)
+        assert code == 2 and out == ""
+        assert "budget" in err
+
+
 def test_extpan_bad_group_spec_exit_2():
     result = run_cli("extpan", "--p", "0", "--q", "2", "--r", "2")
     assert result.returncode == 2

@@ -18,11 +18,11 @@ from monopair.extpan.bruteforce import (
 )
 from monopair.extpan.cocycles import (
     Cocycle,
-    ExtClass,
     _ext1_classes_unchecked,
     baer_sum,
     carry_cocycle,
     class_negate,
+    class_of,
     coboundary_of,
     coboundary_witness,
     ext1_classes,
@@ -166,7 +166,7 @@ def test_invariant_matches_exhaustive_search():
         tables = all_cocycle_tables_literal(q, p)
         for f in tables:
             for g in tables:
-                fast = ExtClass(f).is_cohomologous(ExtClass(g))
+                fast = class_of(f).is_cohomologous(class_of(g))
                 witness = search_coboundary_witness(_difference_table(f, g))
                 assert fast == (witness is not None)
                 if witness is not None:
@@ -215,6 +215,27 @@ def test_baer_group_axioms_small():
                 assert xy == baer_sum(y, x)
                 for z in classes[:2]:
                     assert baer_sum(xy, z) == baer_sum(x, baer_sum(y, z))
+
+
+def test_residue_group_law_matches_table_law():
+    """Baer sum and negation on residues against their table definitions:
+    the pointwise sum or negation of the canonical tables, reduced to a
+    class.  Every canonical table is a valid cocycle of its own class."""
+    for q, p in product(UP_TO_8, UP_TO_8):
+        tops = p.ops()
+        classes = _ext1_classes_unchecked(q, p)
+        for x in classes:
+            x.cocycle._validate()
+            assert class_of(x.cocycle) == x
+            negated = tuple(tuple(tops.neg[v] for v in row) for row in x.cocycle.matrix)
+            assert class_negate(x) == class_of(Cocycle(q, p, negated, check=False))
+        for x in classes if len(classes) <= 64 else classes[:16]:
+            for y in classes:
+                summed = tuple(
+                    tuple(tops.add[u][v] for u, v in zip(rx, ry))
+                    for rx, ry in zip(x.cocycle.matrix, y.cocycle.matrix)
+                )
+                assert baer_sum(x, y) == class_of(Cocycle(q, p, summed, check=False))
 
 
 def test_counting_routes_agree():
