@@ -13,7 +13,8 @@ from itertools import product
 
 from .. import _kernels
 from ..intlinalg import kernel_count_mod
-from .cocycles import Cocycle
+from .cocycles import Cocycle, _ext1_classes_unchecked, class_of
+from .variegated import _difference_table, _projected, twisted_middle
 
 
 def _flat_add(ops):
@@ -204,20 +205,25 @@ def all_cocycle_tables_literal(source, target):
     return tables
 
 
+def extpan_fiber_exhaustive(e_class, f_class):
+    """Oracle twin of ``variegated.extpan_fiber``: every class of Q by the
+    middle group of F, in enumeration order, whose canonical table projected
+    onto R lies in the class of E."""
+    middle = twisted_middle(f_class)
+    return [
+        cls
+        for cls in _ext1_classes_unchecked(e_class.source, middle)
+        if class_of(_projected(cls.cocycle, middle)) == e_class
+    ]
+
+
 def variegated_iso_search(first, second):
     """Oracle for variegated isomorphism: exhaustive search for a filtered
     isomorphism fixing the middle group pointwise and inducing the identity
     on Q, i.e. a coboundary witness between the two middle-valued tables."""
     if first.f_class != second.f_class or first.e_class != second.e_class:
         return False
-    middle = first.middle
-    ops = middle.ops()
-    matrix = tuple(
-        tuple(ops.sub(u, v) for u, v in zip(r1, r2))
-        for r1, r2 in zip(first.w.matrix, second.w.matrix)
-    )
-    diff = Cocycle(first.w.source, middle, matrix, check=False)
-    return search_coboundary_witness(diff) is not None
+    return search_coboundary_witness(_difference_table(first.w, second.w)) is not None
 
 
 def hom_count_exhaustive(source, target):

@@ -7,8 +7,8 @@ are cohomologous exactly when these transgressions agree modulo m_i T.
 Residues are stored as least-index coset representatives, so classes are
 compared, hashed, Baer-summed and negated without any table.
 
-A cocycle table is built only where a literal table is needed (the
-class-group action, differences, butterfly witnesses, the oracles).  The
+A cocycle table is built only where a literal table is needed (twisted
+middle groups, pullbacks, butterfly witnesses, the oracles).  The
 table of a class is its canonical carry table: the carry of addition in each
 cyclic factor, scaled by that factor's residue, built on demand.
 ``class_of`` reduces any table to its class.  A witness for the coboundary

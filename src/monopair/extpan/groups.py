@@ -170,15 +170,17 @@ class TwistedGroup:
         # table_matrix: |R| x |R| matrix of fiber element indices.
         self.table = tuple(tuple(row) for row in table_matrix)
         self._ops = None
+        pelems = fiber.elements()
+        self._elements = tuple((r, p) for r in base.elements() for p in pelems)
+        self._project = None
+        self._include = None
 
     @property
     def order(self):
         return self.base.order * self.fiber.order
 
     def elements(self):
-        relems = self.base.elements()
-        pelems = self.fiber.elements()
-        return tuple((r, p) for r in relems for p in pelems)
+        return self._elements
 
     def zero(self):
         return (self.base.zero(), self.fiber.zero())
@@ -205,16 +207,19 @@ class TwistedGroup:
         return self._ops
 
     def project_table(self):
-        """Element index -> base element index."""
-        rops = self.base.ops()
-        return tuple(rops.index[e[0]] for e in self.elements())
+        """Element index -> base element index.  Built once."""
+        if self._project is None:
+            rindex = self.base.ops().index
+            self._project = tuple(rindex[e[0]] for e in self.elements())
+        return self._project
 
     def include_table(self):
-        """Fiber element index -> element index."""
-        ops = self.ops()
-        return tuple(
-            ops.index[(self.base.zero(), p)] for p in self.fiber.elements()
-        )
+        """Fiber element index -> element index.  Built once."""
+        if self._include is None:
+            index = self.ops().index
+            zero = self.base.zero()
+            self._include = tuple(index[(zero, p)] for p in self.fiber.elements())
+        return self._include
 
     def key(self):
         return ("twisted", self.base.key(), self.fiber.key(), self.table)

@@ -2,21 +2,24 @@
 extensions, and the torsor structure on their classes.
 
 Given extension classes E (of Q by R) and F (of R by P), a variegated class
-is an extension class of Q by the twisted middle group of F whose pushout
+is an extension class of Q by the twisted middle group M of F whose pushout
 along the projection to R recovers E.  Classes are compared as extensions of
-Q by the middle group, i.e. through filtered isomorphisms that restrict to
-the identity on the middle group and induce the identity on Q; this is the
-reading forced by the cardinality law fiber * stabilizer = |Ext(Q, P)|,
-where the stabilizer of the class-group action is the image of the
-connecting map Hom(Q, R) -> Ext(Q, P) attached to F.
+Q by M, i.e. through filtered isomorphisms that restrict to the identity on
+M and induce the identity on Q; this is the reading forced by the
+cardinality law fiber * stabilizer = |Ext(Q, P)|, where the stabilizer of
+the class-group action is the image of the connecting map
+Hom(Q, R) -> Ext(Q, P) attached to F.
 
-Each fiber element carries a butterfly witness: the explicit correction
-k : Q -> R identifying its pushout with E on the nose.  Nonemptiness of the
-fiber is automatic for finite abelian groups (the second Ext group vanishes),
-and is verified rather than assumed.
+A variegated class is its residue vector in the direct sum of the M / m_i M.
+Ext(Q, P) -> Ext(Q, M) -> Ext(Q, R) -> 0 is exact (the second Ext group
+vanishes), so the fiber over E is one lift of E's residues moved by every
+class of Q by P, and the action and differences work residue by residue.
+The butterfly witness, the explicit correction k : Q -> R identifying the
+pushout with E on the nose, is built only when it is read.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import cached_property
 
 from ..errors import BudgetExceededError, MonopairError
 from .cocycles import (
@@ -26,7 +29,6 @@ from .cocycles import (
     baer_sum,
     class_negate,
     class_of,
-    coboundary_of,
     coboundary_witness,
     ext1_order,
     pullback_cocycle,
@@ -69,37 +71,47 @@ def _projected(w, twisted):
 class VariegatedClass:
     """A variegated extension class of E by F.
 
-    ``w`` is the underlying cocycle of Q valued in the middle group of F, and
-    ``butterfly`` is the table of a map Q -> R (element indices) whose
+    ``cls`` is the class of Q by the middle group of F; it is the whole
+    identity of the variegated class.  ``w`` is its canonical cocycle table,
+    and ``butterfly`` is the table of a map Q -> R (element indices) whose
     coboundary carries the projection of ``w`` exactly onto E's canonical
-    table ``e_class.cocycle``.
+    table ``e_class.cocycle``.  Both tables are built on first read.
     """
 
     e_class: ExtClass
     f_class: ExtClass
-    w: Cocycle
-    butterfly: tuple
+    cls: ExtClass
 
     @property
     def q_group(self):
-        return self.e_class.source
+        return self.cls.source
 
     @property
     def middle(self):
-        return self.w.target
+        return self.cls.target
+
+    @property
+    def w(self):
+        return self.cls.cocycle
+
+    @cached_property
+    def butterfly(self):
+        pushed = _projected(self.w, self.middle)
+        k = coboundary_witness(_difference_table(pushed, self.e_class.cocycle))
+        if k is None:
+            raise AssertionError("cohomologous pushout without a witness")
+        return tuple(k)
 
     def w_class(self):
-        return class_of(self.w)
+        return self.cls
 
     def is_isomorphic(self, other):
         """Filtered isomorphism respecting both identifications.
 
-        Equivalent to the two cocycles being cohomologous as extensions of Q
-        by the (shared) middle group.
+        Equivalent to equal classes as extensions of Q by the (shared) middle
+        group, over the same E and F.
         """
-        if self.f_class != other.f_class or self.e_class != other.e_class:
-            return False
-        return self.w_class().is_cohomologous(other.w_class())
+        return self == other
 
     def total_group(self):
         """The filtered group itself: pairs over Q twisted by ``w``."""
@@ -127,11 +139,12 @@ def _difference_table(x, y):
 
 
 def extpan_fiber(e_class, f_class):
-    """All variegated classes of E by F; nonempty for every input.
+    """All variegated classes of E by F, in lexicographic residue order.
 
-    Enumerates the extension classes of Q by the middle group of F and keeps
-    the ones whose pushout to R is E, attaching to each the butterfly witness
-    identifying the pushout with E exactly.
+    Lifts each residue of E through the projection of the middle group onto
+    R (any preimage will do: the projection is onto), then acts on the lift
+    with every class of Q by P.  By exactness this reaches the whole fiber,
+    which is therefore never empty.
     """
     q = e_class.source
     r = e_class.target
@@ -143,82 +156,51 @@ def extpan_fiber(e_class, f_class):
     p = f_class.target
     check_budget(p, q, r)
     middle = twisted_middle(f_class)
-    fiber = []
-    for cls in _ext1_classes_unchecked(q, middle):
-        if pushforward(cls, middle) != e_class:
-            continue
-        w = cls.cocycle
-        pushed = _projected(w, middle)
-        k = coboundary_witness(_difference_table(pushed, e_class.cocycle))
-        if k is None:
-            raise AssertionError("cohomologous pushout without a witness")
-        fiber.append(
-            VariegatedClass(e_class=e_class, f_class=f_class, w=w, butterfly=tuple(k))
-        )
-    if not fiber:
-        raise AssertionError("variegated fiber is empty; obstruction theory violated")
-    return fiber
+    proj = middle.project_table()
+    lift = reduced_class(q, middle, (proj.index(v) for v in e_class.residues))
+    base = VariegatedClass(e_class=e_class, f_class=f_class, cls=lift)
+    fiber = {act(base, x) for x in _ext1_classes_unchecked(q, p)}
+    return sorted(fiber, key=lambda wv: wv.cls.residues)
 
 
 def act(variegated, x_class):
     """Twist a variegated class by an extension class of Q by P.
 
-    Adds the included table pointwise to ``w``; the projection to R, and
-    hence the butterfly witness, is unchanged.
+    Adds the included residues factor by factor; the projection to R is
+    unchanged, so the result lies over the same E.
     """
     middle = variegated.middle
     if x_class.source != variegated.q_group or x_class.target != middle.fiber:
         raise MonopairError("acting class must extend Q by the bottom group P")
     include = middle.include_table()
-    ops = middle.ops()
-    w = variegated.w
-    matrix = tuple(
-        tuple(ops.add[u][include[v]] for u, v in zip(rw, rx))
-        for rw, rx in zip(w.matrix, x_class.cocycle.matrix)
-    )
-    return VariegatedClass(
-        e_class=variegated.e_class,
-        f_class=variegated.f_class,
-        w=Cocycle(w.source, middle, matrix, check=False),
-        butterfly=variegated.butterfly,
-    )
+    add = middle.ops().add
+    sums = (add[w][include[x]] for w, x in zip(variegated.cls.residues, x_class.residues))
+    return replace(variegated, cls=reduced_class(variegated.q_group, middle, sums))
 
 
 def difference(base, target):
     """The extension class of Q by P with act(base, result) isomorphic to target.
 
-    Normalizes the two projections to agree exactly (through a constructive
-    coboundary witness over R lifted into the middle group), then reads off
-    the pointwise difference, which lands in the included copy of P.  The
-    answer is well defined up to the stabilizer, and acting with it on the
-    base always lands in the class of the target.
+    Along each cyclic factor Z/m of Q the residue difference d in M / m*M
+    maps to zero in R / m*R, so by right exactness of
+    P / m*P -> M / m*M -> R / m*R -> 0 it is the image of some p in P; the
+    least such p is taken.  The answer is well defined up to the stabilizer,
+    and acting with it on the base always lands in the class of the target.
     """
     if base.f_class != target.f_class or base.e_class != target.e_class:
         raise MonopairError("fibers mismatch: the two classes refine different (E, F)")
     middle = base.middle
-    q = base.q_group
-    r = middle.base
-    p = middle.fiber
-    k = coboundary_witness(
-        _difference_table(_projected(target.w, middle), _projected(base.w, middle))
-    )
-    if k is None:
-        raise MonopairError("fibers mismatch: projections are not cohomologous")
-    # Lift k through the canonical section r -> (r, 0) and absorb its
-    # coboundary into the target, making both projections literally equal.
-    index = middle.ops().index
-    section = [index[(e, p.zero())] for e in r.elements()]
-    adjust = coboundary_of(q, middle, [section[v] for v in k])
-    target_norm = _difference_table(target.w, adjust)
-    diff = _difference_table(target_norm, base.w)
-    # The normalized difference projects to zero, so it is included from P.
+    ops = middle.ops()
     include = middle.include_table()
-    back = {fi: pi for pi, fi in enumerate(include)}
-    try:
-        matrix = tuple(tuple(back[v] for v in row) for row in diff.matrix)
-    except KeyError:
-        raise AssertionError("difference does not land in the bottom group")
-    return class_of(Cocycle(q, p, matrix, check=False))
+    preimages = []
+    for b, t, m in zip(base.cls.residues, target.cls.residues, base.q_group.factors):
+        coset = ops.coset_table(m)
+        d = coset[ops.sub(t, b)]
+        p = next((p for p, v in enumerate(include) if coset[v] == d), None)
+        if p is None:
+            raise MonopairError("fibers mismatch: projections are not cohomologous")
+        preimages.append(p)
+    return reduced_class(base.q_group, middle.fiber, preimages)
 
 
 def connecting_image(f_class, q):
@@ -254,15 +236,18 @@ class TorsorReport:
 
 
 def torsor_report(e_class, f_class):
-    """Verify the torsor structure of the variegated fiber on the nose.
+    """Verify the torsor structure of the variegated fiber on residues.
 
-    By enumeration: the fiber is nonempty; the class-group action reaches
-    every fiber element from every other (``transitive``); and ``difference``
-    is a two-sided section: acting with difference(w2, w1) on w1 lands in w2,
-    and the difference of (w acted by x) against w returns x up to the
-    stabilizer, which itself is checked to be exactly the connecting image of
-    F for every fiber element, with the cardinality law
-    fiber * stabilizer = |Ext(Q, P)| (all folded into ``section_ok``).
+    By enumeration over the residue calculus: the fiber is nonempty; the
+    class-group action reaches every fiber element from every other
+    (``transitive``); and ``difference`` is a two-sided section: acting with
+    difference(w2, w1) on w1 lands in w2, and the difference of (w acted by x)
+    against w returns x up to the stabilizer.  The stabilizer of every fiber
+    element under the action is checked to be exactly the connecting image
+    of F, which is computed independently from pulled-back tables, and the
+    cardinality law fiber * stabilizer = |Ext(Q, P)| must hold (all folded
+    into ``section_ok``).  The on-the-nose table check of the fiber and the
+    action is the oracle test against ``bruteforce``.
     """
     q = e_class.source
     p = f_class.target

@@ -1,12 +1,14 @@
 """Variegated extensions: fibers, the class-group action, differences,
 butterfly witnesses, and the torsor laws."""
 
+import random
 from itertools import product
 
 import pytest
 
 from monopair.errors import BudgetExceededError, MonopairError
-from monopair.extpan.bruteforce import variegated_iso_search
+from monopair.extpan import variegated
+from monopair.extpan.bruteforce import extpan_fiber_exhaustive, variegated_iso_search
 from monopair.extpan.cocycles import (
     Cocycle,
     _ext1_classes_unchecked,
@@ -266,6 +268,9 @@ def test_difference_examples():
     assert act(w2, difference(w2, w1)).is_isomorphic(w1)
     with pytest.raises(MonopairError):
         difference(w1, extpan_fiber(nonsplit(Z2, Z2), nonsplit(Z2, Z2))[0])
+    # Same F, different E.
+    with pytest.raises(MonopairError):
+        difference(w1, extpan_fiber(split_class(Z2, Z2), f)[0])
 
 
 def test_difference_r_trivial_is_baer_difference():
@@ -350,6 +355,68 @@ def test_torsor_report_examples():
     assert report.fiber_size == 1
     assert report.stabilizer_order == 2
     assert report.transitive and report.section_ok
+
+
+def test_torsor_report_builds_no_butterfly(monkeypatch):
+    """The report runs on residues alone: no butterfly witness is built."""
+    cases = [
+        (split_class(Z2, TRIV), split_class(TRIV, Z2)),
+        (nonsplit(Z2, Z2), split_class(Z2, Z2)),
+        (nonsplit(Z2, Z2), nonsplit(Z2, Z2)),
+        (nonsplit(V4, Z4), split_class(Z4, Z2)),
+    ]
+    expected = [torsor_report(e, f) for e, f in cases]
+
+    def no_witness(diff):
+        raise AssertionError("butterfly witness built")
+
+    monkeypatch.setattr(variegated, "coboundary_witness", no_witness)
+    assert [torsor_report(e, f) for e, f in cases] == expected
+
+
+# (P, Q, R) factors at the budget corners of the extpan_torsor benchmark.
+TORSOR_CORNERS = [((2, 2, 2), (2, 2), (2, 2)), ((8,), (8,), (8,)), ((2, 4), (2, 4), (2,))]
+
+
+def _oracle_cases():
+    """Every (E, F) with P, Q, R of order <= 4; at each budget corner the
+    split F (the largest fiber) and a seeded sample of other F, one E each."""
+    cases = [
+        (e, f)
+        for p, q, r in product(SMALL, repeat=3)
+        for f in _ext1_classes_unchecked(r, p)
+        for e in _ext1_classes_unchecked(q, r)
+    ]
+    rng = random.Random(2019)
+    for factors in TORSOR_CORNERS:
+        p, q, r = (FinAbGroup(f) for f in factors)
+        es = _ext1_classes_unchecked(q, r)
+        fs = _ext1_classes_unchecked(r, p)
+        cases += [(rng.choice(es), f) for f in fs[:1] + rng.sample(fs[1:], 3)]
+    return cases
+
+
+def test_residue_calculus_matches_table_oracles():
+    """The lifted fiber equals the filtered enumeration class by class and
+    in order; acting with a difference lands isomorphic by exhaustive search;
+    and act is the pointwise sum of w and the included table of x."""
+    for e, f in _oracle_cases():
+        fiber = extpan_fiber(e, f)
+        assert [wv.w_class() for wv in fiber] == extpan_fiber_exhaustive(e, f)
+        q, p = e.source, f.target
+        middle = fiber[0].middle
+        include = middle.include_table()
+        add = middle.ops().add
+        for w1 in fiber:
+            for w2 in fiber:
+                assert variegated_iso_search(act(w1, difference(w1, w2)), w2)
+            for x in _ext1_classes_unchecked(q, p):
+                table = tuple(
+                    tuple(add[u][include[v]] for u, v in zip(rw, rx))
+                    for rw, rx in zip(w1.w.matrix, x.cocycle.matrix)
+                )
+                expected = class_of(Cocycle(q, middle, table, check=False))
+                assert act(w1, x).w_class() == expected
 
 
 def test_connecting_image_split_f_is_trivial():
