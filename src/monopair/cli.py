@@ -53,9 +53,15 @@ def _load_json(path):
             text = handle.read()
     except OSError as exc:
         raise InputFormatError("cannot read file %r: %s" % (path, exc.strerror or exc))
+    except UnicodeDecodeError as exc:
+        raise InputFormatError("file %r: not UTF-8 text: %s" % (path, exc))
     try:
         return json.loads(text)
-    except json.JSONDecodeError as exc:
+    except RecursionError:
+        raise InputFormatError("file %r: malformed JSON: nested too deeply" % path)
+    except ValueError as exc:
+        # JSONDecodeError, or an integer literal longer than the interpreter's
+        # int string-conversion limit.
         raise InputFormatError("file %r: malformed JSON: %s" % (path, exc))
 
 

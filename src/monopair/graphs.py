@@ -137,8 +137,9 @@ def check_valid(curve):
         raise InvalidCurveError(violations)
 
 
-def _component_labels(curve):
-    """Union-find component label for every vertex id."""
+def _spanning_forest(curve):
+    """Tree and cotree edge indices of the lexicographically least spanning
+    forest (grown greedily by edge id), each in increasing edge-id order."""
     parent = {vid: vid for vid in curve.vertex_ids}
 
     def find(x):
@@ -147,22 +148,24 @@ def _component_labels(curve):
             x = parent[x]
         return x
 
-    for edge in curve.edges:
+    tree = []
+    cotree = []
+    for j in sorted(range(len(curve.edges)), key=lambda j: curve.edges[j].id):
+        edge = curve.edges[j]
         ra, rb = find(edge.src), find(edge.dst)
         if ra != rb:
             parent[ra] = rb
-    return {vid: find(vid) for vid in parent}
-
-
-def connected_components(curve):
-    labels = _component_labels(curve)
-    return len(set(labels.values()))
+            tree.append(j)
+        else:
+            cotree.append(j)
+    return tree, cotree
 
 
 def betti_number(curve):
-    """First Betti number |E| - |V| + #components of a valid curve."""
+    """First Betti number |E| - |V| + #components of a valid curve, which is
+    the number of edges outside a spanning forest."""
     check_valid(curve)
-    return len(curve.edges) - len(curve.vertices) + connected_components(curve)
+    return len(_spanning_forest(curve)[1])
 
 
 def boundary_matrix(curve):
@@ -238,25 +241,7 @@ def cycle_basis(curve):
     edge id.
     """
     check_valid(curve)
-    edge_order = sorted(range(len(curve.edges)), key=lambda j: curve.edges[j].id)
-    parent = {vid: vid for vid in curve.vertex_ids}
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    tree = []
-    cotree = []
-    for j in edge_order:
-        edge = curve.edges[j]
-        ra, rb = find(edge.src), find(edge.dst)
-        if ra != rb:
-            parent[ra] = rb
-            tree.append(j)
-        else:
-            cotree.append(j)
+    tree, cotree = _spanning_forest(curve)
 
     # Forest adjacency: vertex -> list of (neighbor, edge index, sign of
     # traversal in stored orientation).

@@ -2,9 +2,11 @@
 
 Everything works on lists of lists of Python ints, so there is no overflow
 and no floating point anywhere.  Matrices range from desk-scale examples to
-the Gram matrices of curves with first Betti number around a hundred.  The
-Bareiss sweeps (determinant, Sylvester test) are cubic in the size with
-growing entries; the Smith form does no modular reduction, so its
+the Gram matrices of curves with first Betti number around a hundred.  There
+are two eliminations.  One fraction-free (Bareiss) sweep yields the rank,
+the determinant and the Sylvester verdict; it is cubic in the size, and its
+entries are minors of the input, so they grow only polynomially.  The Smith
+form gives the elementary divisors; it does no modular reduction, so its
 intermediate entries can blow up on nonsingular Gram matrices of twenty or
 more rows.
 """
@@ -114,64 +116,64 @@ def smith_divisors(mat):
     return divisors
 
 
+def _bareiss(mat):
+    """One fraction-free (Bareiss) echelon sweep: ``(rank, det, sylvester)``.
+
+    Rows are swapped only at a zero pivot, and a column that is zero from the
+    pivot row down is skipped; every entry stays a minor of the input, so each
+    division is exact.  ``det`` is signed, and None for non-square input.
+    Until the first swap the pivots are the leading principal minors, so
+    ``sylvester`` (all of them > 0) holds iff no swap was needed, the rank is
+    full and every pivot is positive.
+    """
+    a = copy_matrix(mat)
+    rows = len(a)
+    cols = len(a[0]) if rows else 0
+    sign = 1
+    prev = 1
+    r = 0
+    sylvester = True
+    for k in range(cols):
+        if r == rows:
+            break
+        if a[r][k] == 0:
+            sylvester = False
+            swap = next((i for i in range(r + 1, rows) if a[i][k]), None)
+            if swap is None:
+                continue
+            a[r], a[swap] = a[swap], a[r]
+            sign = -sign
+        top = a[r]
+        p = top[k]
+        if p < 0:
+            sylvester = False
+        for row in a[r + 1 :]:
+            f = row[k]
+            row[k] = 0
+            for j in range(k + 1, cols):
+                row[j] = (row[j] * p - f * top[j]) // prev
+        prev = p
+        r += 1
+    if rows != cols:
+        return r, None, False
+    full = r == rows
+    return r, sign * prev if full else 0, sylvester and full
+
+
 def rank(mat):
-    if not mat or not mat[0]:
-        return 0
-    return len(smith_divisors(mat))
+    """Rank over the rationals (equally, over the integers) of an integer
+    matrix, read from the exact Bareiss sweep."""
+    return _bareiss(mat)[0]
 
 
 def det(mat):
-    """Determinant by fraction-free (Bareiss) elimination with row pivoting."""
-    n = len(mat)
-    if n == 0:
-        return 1
-    a = copy_matrix(mat)
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            swap = next((i for i in range(k + 1, n) if a[i][k] != 0), None)
-            if swap is None:
-                return 0
-            a[k], a[swap] = a[swap], a[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1]
-
-
-def leading_minors(mat):
-    """All leading principal minors of a square matrix, exactly.
-
-    Computed by cofactor-free expansion of det on leading blocks; the sizes
-    here are small enough that repeated Bareiss runs are fine.
-    """
-    n = len(mat)
-    return [det([row[: k + 1] for row in mat[: k + 1]]) for k in range(n)]
+    """Determinant of a square integer matrix, read from the Bareiss sweep."""
+    return _bareiss(mat)[1]
 
 
 def leading_minors_all_positive(mat):
-    """True iff every leading principal minor is > 0 (Sylvester criterion).
-
-    Uses a single Bareiss sweep without row pivoting: after step k the pivot
-    equals the k-th leading principal minor, so a nonpositive pivot decides
-    immediately.
-    """
-    n = len(mat)
-    a = copy_matrix(mat)
-    prev = 1
-    for k in range(n):
-        if a[k][k] <= 0:
-            return False
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
-        prev = a[k][k]
-    return True
+    """True iff every leading principal minor is > 0 (Sylvester criterion)."""
+    return _bareiss(mat)[2]
 
 
 def hermite_normal_form(mat):

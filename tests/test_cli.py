@@ -216,6 +216,24 @@ def test_malformed_json_names_file(tmp_path):
     result = run_cli("pairing", str(path))
     assert result.returncode == 1
     assert "malformed JSON" in result.stderr and "broken.json" in result.stderr
+    # Bytes that are not UTF-8, nesting past the parser's recursion limit and
+    # an integer literal past the int string-conversion limit (Python 3.11+;
+    # on 3.10 the payload parses and is rejected for its shape instead).
+    payloads = {
+        "latin.json": b"\xff\xfe{}",
+        "deep.json": b"[" * 200_000 + b"]" * 200_000,
+        "digits.json": b"[" + b"9" * 5000 + b"]",
+    }
+    for name, payload in payloads.items():
+        path = tmp_path / name
+        path.write_bytes(payload)
+        for args in (
+            ("compgroup", str(path)),
+            ("extpan", "--p", "2", "--q", "2", "--r", "2", "--e", str(path)),
+        ):
+            result = run_cli(*args)
+            assert result.returncode == 1, (args, result.stderr)
+            assert name in result.stderr and "Traceback" not in result.stderr
 
 
 def test_unknown_curve_key_rejected(tmp_path):

@@ -6,7 +6,6 @@ from monopair.intlinalg import (
     det,
     hermite_normal_form,
     kernel_count_mod,
-    leading_minors,
     leading_minors_all_positive,
     mat_mul,
     rank,
@@ -69,6 +68,15 @@ def test_det_against_cofactor_oracle():
         n = rng.randint(0, 5)
         mat = [[rng.randint(-5, 5) for _ in range(n)] for _ in range(n)]
         assert det(mat) == minor_oracle(mat, n)
+    # A zero (0, 0) entry forces the sweep to swap rows.
+    for _ in range(50):
+        n = rng.randint(2, 5)
+        mat = [[rng.randint(-5, 5) for _ in range(n)] for _ in range(n)]
+        mat[0][0] = 0
+        assert det(mat) == minor_oracle(mat, n)
+    assert det([[0, 1], [1, 0]]) == -1
+    assert det([[0, 0, 1], [0, 1, 0], [1, 0, 0]]) == -1
+    assert det([[0, 2], [0, 3]]) == 0
 
 
 def test_leading_minors_and_sylvester():
@@ -80,10 +88,20 @@ def test_leading_minors_and_sylvester():
         for i in range(n):
             for j in range(i):
                 mat[j][i] = mat[i][j]
-        minors = leading_minors(mat)
-        assert minors == [minor_oracle(mat, k + 1) for k in range(n)]
+        minors = [minor_oracle(mat, k + 1) for k in range(n)]
         assert leading_minors_all_positive(mat) == all(m > 0 for m in minors)
     assert leading_minors_all_positive([]) is True
+    assert leading_minors_all_positive([[2, -1], [-1, 2]]) is True
+    # A zero leading minor.  After the swap in [[0, 1], [1, 0]] every pivot
+    # is positive, so the swap itself must decide.
+    assert leading_minors_all_positive([[1, 1], [1, 1]]) is False
+    assert leading_minors_all_positive([[0, 1], [1, 0]]) is False
+    assert leading_minors_all_positive([[1, 1, 0], [1, 1, 0], [0, 0, 1]]) is False
+    assert leading_minors_all_positive([[0, 0], [0, 1]]) is False
+    # A negative leading minor, first and later in the sweep.
+    assert leading_minors_all_positive([[-1, 0], [0, -1]]) is False
+    assert leading_minors_all_positive([[1, 2], [2, 1]]) is False
+    assert leading_minors_all_positive([[2, 1, 0], [1, 1, 1], [0, 1, 0]]) is False
 
 
 def test_hermite_row_lattice_canonical():
@@ -115,3 +133,19 @@ def test_rank_matches_transpose():
         mat = [[rng.randint(-3, 3) for _ in range(4)] for _ in range(2)]
         assert rank(mat) == rank(transpose(mat))
         assert rank(mat_mul(mat, transpose(mat))) <= rank(mat)
+    # Against the Smith form, with zero rows, zero columns and duplicated rows.
+    for _ in range(300):
+        rows = rng.randint(1, 6)
+        cols = rng.randint(1, 6)
+        mat = [[rng.choice([0, rng.randint(-3, 3)]) for _ in range(cols)] for _ in range(rows)]
+        shape = rng.randrange(4)
+        if shape == 1:
+            mat[rng.randrange(rows)] = [0] * cols
+        elif shape == 2:
+            j = rng.randrange(cols)
+            for row in mat:
+                row[j] = 0
+        elif shape == 3:
+            mat[rng.randrange(rows)] = list(mat[rng.randrange(rows)])
+        assert rank(mat) == len(smith_divisors(mat))
+        assert rank(mat) == rank(transpose(mat))

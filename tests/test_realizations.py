@@ -5,8 +5,8 @@ import random
 import pytest
 
 from conftest import loop_curve, theta_curve, theta_unit_curve
-from monopair.graphs import TropicalCurve, cycle_basis
-from monopair.intlinalg import mat_mul
+from monopair.graphs import Edge, MonoidVector, TropicalCurve, cycle_basis
+from monopair.intlinalg import mat_mul, smith_divisors
 from monopair.pairing import IntSymMatrix, pairing_matrix, specialize
 from monopair.randomgen import random_curve
 from monopair.realizations import (
@@ -168,6 +168,31 @@ def test_nilpotent_rank_equals_matrix_rank():
         op = picard_lefschetz(spec, a=weight_dims(curve).a, w=1)
         assert nilpotent_rank(op) == spec.h
         assert monodromy_weight_check(spec)
+    small = spec
+    # Large connected curves with an abelian part (a = n_vertices / 2):
+    # N - I is 2(h + a) square.
+    for n_vertices, h in ((30, 80), (40, 120)):
+        vertices = tuple(("v%02d" % i, i % 2) for i in range(n_vertices))
+        ends = [(rng.randrange(i), i) for i in range(1, n_vertices)]
+        ends += [(rng.randrange(n_vertices), rng.randrange(n_vertices)) for _ in range(h)]
+        edges = tuple(
+            Edge("e%03d" % k, "v%02d" % s, "v%02d" % t, MonoidVector((rng.randint(1, 5),)))
+            for k, (s, t) in enumerate(ends)
+        )
+        curve = TropicalCurve(base_rank=1, vertices=vertices, edges=edges)
+        spec = specialize(pairing_matrix(curve, cycle_basis(curve)), [1])
+        assert spec.h == h
+        op = picard_lefschetz(spec, a=weight_dims(curve).a, w=2)
+        assert nilpotent_rank(op) == h
+    # A singular pairing: duplicating the last row and column keeps it
+    # symmetric and drops its rank below its size.
+    rows = [list(row) for row in small.entries]
+    for row in rows:
+        row.append(row[-1])
+    rows.append(list(rows[-1]))
+    singular = IntSymMatrix(tuple(tuple(row) for row in rows))
+    op = picard_lefschetz(singular, a=1, w=3)
+    assert nilpotent_rank(op) == len(smith_divisors(rows)) == small.h
 
 
 def test_hodge_table_examples():
