@@ -6,9 +6,18 @@ extended bilinearly; restricted to the cycle space it is the tropical
 intersection pairing.  Values are monoid-group vectors (signs allowed);
 specializing the base generators at positive integer weights produces the
 integer Gram matrices whose Smith normal form gives the component group.
+
+A symmetric integer matrix takes one of two routes.  A matrix made by
+``specialize`` from ``pairing_matrix`` carries the cycle basis C it came
+from, and is B = C diag(l) C^T with every specialized length l_e >= 1 and C
+of full row rank, so x^T B x = sum_e l_e (C^T x)_e^2 > 0 for every x != 0:
+it is positive definite, hence nondegenerate, by that certificate, with no
+elimination.  Any other matrix (hand-built, reduced mod n, moved by a
+unimodular change of basis) is tested by exact Sylvester minors and its
+exact determinant.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .errors import DegeneratePairingError
 from .graphs import MonoidVector, check_valid
@@ -47,7 +56,9 @@ class PairingMatrix:
 
     base_rank: int
     entries: tuple  # h x h of MonoidVector
-    basis: object = None  # the CycleBasis it is expressed in, when graph-derived
+    # The CycleBasis whose Gram matrix this is; only ``pairing_matrix`` sets
+    # it, so a hand-built matrix can never claim a basis it does not match.
+    basis: object = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         entries = tuple(tuple(row) for row in self.entries)
@@ -102,18 +113,26 @@ def pairing_matrix(curve, basis):
             value = MonoidVector(tuple(sums[i][j]))
             entries[i][j] = value
             entries[j][i] = value
-    return PairingMatrix(
-        base_rank=curve.base_rank,
-        entries=tuple(tuple(row) for row in entries),
-        basis=basis,
+    pm = PairingMatrix(
+        base_rank=curve.base_rank, entries=tuple(tuple(row) for row in entries)
     )
+    object.__setattr__(pm, "basis", basis)
+    return pm
 
 
 @dataclass(frozen=True)
 class IntSymMatrix:
-    """Symmetric integer matrix (a specialized pairing)."""
+    """Symmetric integer matrix (a specialized pairing).
+
+    ``basis`` is the CycleBasis of a matrix that ``specialize`` made from a
+    ``pairing_matrix`` result, and None otherwise.  It is the certificate
+    that the matrix is a Gram matrix C diag(l) C^T with all l_e >= 1, so it
+    cannot be passed to the constructor, and it takes no part in equality,
+    hashing or repr.
+    """
 
     entries: tuple
+    basis: object = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         entries = tuple(tuple(int(x) for x in row) for row in self.entries)
@@ -128,12 +147,13 @@ class IntSymMatrix:
     def rows(self):
         return [list(r) for r in self.entries]
 
-    def mod(self, n):
-        return IntSymMatrix(tuple(tuple(x % n for x in row) for row in self.entries))
-
 
 def specialize(pm, weights):
-    """Evaluate every entry at positive integer weights, one per generator."""
+    """Evaluate every entry at positive integer weights, one per generator.
+
+    Each unordered pair (i <= j) is evaluated once and mirrored.  The result
+    carries the basis of ``pm`` when ``pm`` came from ``pairing_matrix``.
+    """
     weights = [int(w) for w in weights]
     if len(weights) != pm.base_rank:
         raise ValueError(
@@ -142,15 +162,29 @@ def specialize(pm, weights):
         )
     if any(w < 1 for w in weights):
         raise ValueError("weights must all be >= 1")
-    return IntSymMatrix(
-        tuple(tuple(v.evaluate(weights) for v in row) for row in pm.entries)
+    lower = [
+        [v.evaluate(weights) for v in row[: i + 1]] for i, row in enumerate(pm.entries)
+    ]
+    mat = IntSymMatrix(
+        tuple(
+            tuple(lower[i][j] if j <= i else lower[j][i] for j in range(pm.h))
+            for i in range(pm.h)
+        )
     )
+    object.__setattr__(mat, "basis", pm.basis)
+    return mat
 
 
 def is_positive_definite(mat):
-    """Sylvester test with exact integer minors; the empty matrix passes."""
+    """True iff the matrix is positive definite; the empty matrix passes.
+
+    A matrix carrying its cycle basis is positive definite by the Gram
+    certificate; any other takes the Sylvester test with exact integer minors.
+    """
     if not isinstance(mat, IntSymMatrix):
         mat = IntSymMatrix(tuple(tuple(row) for row in mat))
+    if mat.basis is not None:
+        return True
     return leading_minors_all_positive(mat.rows())
 
 
@@ -158,12 +192,14 @@ def component_group(mat):
     """Elementary divisors > 1 of a nondegenerate symmetric integer matrix.
 
     This is the cokernel of the induced map from the cycle lattice to its
-    dual, written as a list of cyclic orders d1 | d2 | ...
+    dual, written as a list of cyclic orders d1 | d2 | ...  A matrix carrying
+    its cycle basis is nondegenerate by the Gram certificate; any other must
+    have a nonzero exact determinant, or DegeneratePairingError is raised.
     """
     if not isinstance(mat, IntSymMatrix):
         mat = IntSymMatrix(tuple(tuple(row) for row in mat))
     rows = mat.rows()
-    if det(rows) == 0:
+    if mat.basis is None and det(rows) == 0:
         raise DegeneratePairingError("degenerate pairing: determinant is zero")
     return [d for d in smith_divisors(rows) if d > 1]
 

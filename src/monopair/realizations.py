@@ -121,19 +121,30 @@ def picard_lefschetz(B, a, w, modulus=0):
 
 def monodromy_weight_check(B):
     """True iff the monodromy map from top to bottom weight is an isomorphism
-    rationally, i.e. the pairing matrix is nondegenerate."""
+    rationally, i.e. the pairing matrix is nondegenerate.
+
+    A matrix carrying its cycle basis (see ``specialize``) is positive
+    definite by the Gram certificate, so it passes with no elimination; any
+    other needs a nonzero exact determinant.
+    """
     if not isinstance(B, IntSymMatrix):
         B = IntSymMatrix(tuple(tuple(row) for row in B))
+    if B.basis is not None:
+        return True
     return det(B.rows()) != 0
 
 
 def nilpotent_rank(op):
-    """Rank of N - I over the rationals."""
+    """Rank of N - I over the rationals.
+
+    Only the nonzero rows are eliminated: for an operator from
+    ``picard_lefschetz`` those are the top h, holding the w * B block.
+    """
     n = op.size
     rows = op.rows()
     for i in range(n):
         rows[i][i] -= 1
-    return rank(rows)
+    return rank([row for row in rows if any(row)])
 
 
 @dataclass(frozen=True)

@@ -12,7 +12,13 @@ from .extpan.cocycles import _ext1_classes_unchecked, ext1_order
 from .extpan.groups import FinAbGroup
 from .extpan.variegated import torsor_report
 from .graphs import betti_number, boundary_matrix, cycle_basis
-from .intlinalg import mat_mul, smith_divisors, transpose
+from .intlinalg import (
+    det,
+    leading_minors_all_positive,
+    mat_mul,
+    smith_divisors,
+    transpose,
+)
 from .pairing import (
     IntSymMatrix,
     component_group,
@@ -66,7 +72,9 @@ def check_positive_definite(seed, count):
     for _ in range(count):
         curve = random_curve(rng)
         _, spec = _specialized(curve)
-        if not is_positive_definite(spec):
+        # The certified verdict must agree with exact Sylvester minors.
+        rows = spec.rows()
+        if not (is_positive_definite(spec) and leading_minors_all_positive(rows)):
             return cases, False
         cases += 1
     return cases, True
@@ -78,7 +86,8 @@ def check_weight_isomorphism(seed, count):
     for _ in range(count):
         curve = random_curve(rng)
         _, spec = _specialized(curve)
-        if not monodromy_weight_check(spec):
+        # The certified verdict must agree with the exact determinant.
+        if not (monodromy_weight_check(spec) and det(spec.rows()) != 0):
             return cases, False
         op = picard_lefschetz(spec, a=0, w=1)
         if nilpotent_rank(op) != spec.h:

@@ -1,5 +1,6 @@
 """The edge pairing, its Gram matrices, specializations, and diagnostics."""
 
+import dataclasses
 import random
 
 import pytest
@@ -7,9 +8,10 @@ import pytest
 from conftest import dumbbell_curve, loop_curve, theta_curve, theta_unit_curve
 from monopair.errors import DegeneratePairingError
 from monopair.graphs import CycleBasis, Edge, MonoidVector, TropicalCurve, cycle_basis
-from monopair.intlinalg import mat_mul, transpose
+from monopair.intlinalg import det, leading_minors_all_positive, mat_mul, transpose
 from monopair.pairing import (
     IntSymMatrix,
+    PairingMatrix,
     component_group,
     edge_pairing,
     int_matrix_to_dict,
@@ -19,6 +21,7 @@ from monopair.pairing import (
     specialize,
 )
 from monopair.randomgen import random_curve, random_unimodular
+from monopair.realizations import monodromy_weight_check
 
 
 def pairing_oracle(c1, c2, curve):
@@ -319,3 +322,126 @@ def test_unit_theta_matches_rank_three_theta():
         pairing_matrix(theta_unit_curve(), cycle_basis(theta_unit_curve())), [1]
     )
     assert spec3.entries == spec1.entries
+
+
+def disjoint_union(*curves):
+    """One curve with the given curves as its connected components."""
+    vertices = []
+    edges = []
+    for k, curve in enumerate(curves):
+        tag = "c%d" % k
+        vertices += [(tag + vid, genus) for vid, genus in curve.vertices]
+        edges += [
+            Edge(tag + e.id, tag + e.src, tag + e.dst, e.length) for e in curve.edges
+        ]
+    return TropicalCurve(curves[0].base_rank, tuple(vertices), tuple(edges))
+
+
+def banana_chain(rng, bananas):
+    """Connected unit-length curve: vertex pairs joined by 2-6 parallel edges,
+    some with a self-loop, strung together by bridges."""
+    pairs = []
+    for b in range(bananas):
+        u, v = 2 * b, 2 * b + 1
+        pairs += [(u, v)] * rng.randint(2, 6) + [(v, v)] * rng.randint(0, 1)
+        if b:
+            pairs.append((u - 1, u))
+    rng.shuffle(pairs)
+    return TropicalCurve(
+        base_rank=1,
+        vertices=tuple(("v%03d" % i, 0) for i in range(2 * bananas)),
+        edges=tuple(
+            Edge("e%03d" % k, "v%03d" % a, "v%03d" % b, MonoidVector((1,)))
+            for k, (a, b) in enumerate(pairs)
+        ),
+    )
+
+
+def test_certified_verdicts_match_elimination_large():
+    rng = random.Random(61)
+    cases = [
+        (large_curve(rng, 30, 80, 1), [1]),
+        (large_curve(rng, 27, 81, 3), [1, 2, 3]),
+        (disjoint_union(large_curve(rng, 12, 40, 1), large_curve(rng, 9, 42, 1)), [1]),
+        (
+            disjoint_union(large_curve(rng, 12, 40, 3), large_curve(rng, 5, 41, 3)),
+            [1, 2, 3],
+        ),
+        # Four vertices: most of the 80 cycles run through parallel edges.
+        (large_curve(rng, 4, 80, 3), [1, 2, 3]),
+    ]
+    for curve, weights in cases:
+        spec = specialize(pairing_matrix(curve, cycle_basis(curve)), weights)
+        assert spec.h >= 80 and spec.basis is not None
+        # The same entries without the basis take exact minors and det.
+        bare = IntSymMatrix(spec.entries)
+        assert bare.basis is None and bare == spec
+        assert is_positive_definite(bare) is True
+        assert monodromy_weight_check(bare) is True
+        assert is_positive_definite(spec) is True
+        assert monodromy_weight_check(spec) is True
+
+
+def test_certified_component_group_matches_elimination():
+    """The unreduced Smith form does not finish on dense Gram matrices at
+    h >= 80, so the large case is a disconnected chain of parallel-edge
+    bundles and self-loops, whose Gram matrix has small entries; random
+    curves of base rank 1 and 3 cover the general shape at h <= 16."""
+    rng = random.Random(67)
+    cases = [(disjoint_union(banana_chain(rng, 14), banana_chain(rng, 14)), [1])]
+    for _ in range(20):
+        base_rank = rng.choice((1, 3))
+        cases.append((random_curve(rng, base_rank=base_rank), [1, 2, 3][:base_rank]))
+    for k, (curve, weights) in enumerate(cases):
+        spec = specialize(pairing_matrix(curve, cycle_basis(curve)), weights)
+        assert spec.basis is not None and (k or spec.h >= 80)
+        assert component_group(spec) == component_group(IntSymMatrix(spec.entries))
+
+
+def test_only_specialize_stamps_the_basis():
+    rng = random.Random(71)
+    curve = large_curve(rng, 8, 12, 1)
+    basis = cycle_basis(curve)
+    pm = pairing_matrix(curve, basis)
+    spec = specialize(pm, [1])
+    assert pm.basis is basis and spec.basis is basis
+    assert "basis" not in repr(spec) and hash(spec) == hash(IntSymMatrix(spec.entries))
+    with pytest.raises(TypeError):
+        PairingMatrix(base_rank=1, entries=pm.entries, basis=basis)
+    with pytest.raises(TypeError):
+        IntSymMatrix(spec.entries, basis=basis)
+    assert PairingMatrix(base_rank=1, entries=pm.entries).basis is None
+    assert specialize(PairingMatrix(base_rank=1, entries=pm.entries), [1]).basis is None
+    rows = [list(r) for r in spec.entries]
+    u = random_unimodular(rng, spec.h)
+    moved = IntSymMatrix(tuple(map(tuple, mat_mul(mat_mul(u, rows), transpose(u)))))
+    reduced = IntSymMatrix(tuple(tuple(x % 2 for x in r) for r in rows))
+    replaced = dataclasses.replace(spec, entries=spec.entries)
+    for unstamped in (IntSymMatrix(spec.entries), moved, reduced, replaced):
+        assert unstamped.basis is None
+        rows = unstamped.rows()
+        assert is_positive_definite(unstamped) == leading_minors_all_positive(rows)
+        assert monodromy_weight_check(unstamped) == (det(rows) != 0)
+
+
+def test_unstamped_matrices_take_the_elimination_route():
+    rng = random.Random(73)
+    curve = large_curve(rng, 8, 12, 1)
+    spec = specialize(pairing_matrix(curve, cycle_basis(curve)), [1])
+    rows = [list(r) for r in spec.entries]
+    # Same entries but a negative diagonal entry: not positive definite.
+    flipped = [list(r) for r in rows]
+    flipped[-1][-1] = -flipped[-1][-1]
+    not_pd = IntSymMatrix(tuple(tuple(r) for r in flipped))
+    assert is_positive_definite(not_pd) is False
+    replaced = dataclasses.replace(spec, entries=not_pd.entries)
+    assert replaced.basis is None and is_positive_definite(replaced) is False
+    # Duplicating the last row and column keeps it symmetric and singular.
+    for row in rows:
+        row.append(row[-1])
+    rows.append(list(rows[-1]))
+    singular = IntSymMatrix(tuple(tuple(r) for r in rows))
+    assert is_positive_definite(singular) is False
+    assert monodromy_weight_check(singular) is False
+    with pytest.raises(DegeneratePairingError):
+        component_group(singular)
