@@ -7,7 +7,9 @@ basis attached to the lexicographically least spanning forest (by edge id),
 so equal inputs always produce identical matrices.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
+from itertools import compress
 
 from .errors import InputFormatError, InvalidCurveError
 from .intlinalg import smith_divisors
@@ -92,6 +94,16 @@ class TropicalCurve:
     def genus_sum(self):
         return sum(g for _, g in self.vertices)
 
+    # A curve is immutable all the way down, so its verdict and its spanning
+    # forest are computed once and kept on it.
+    @cached_property
+    def _violations(self):
+        return tuple(validate(self))
+
+    @cached_property
+    def _forest(self):
+        return _spanning_forest(self)
+
 
 def validate(curve):
     """All invariant violations of a curve, each naming its locus.
@@ -132,9 +144,8 @@ def validate(curve):
 
 
 def check_valid(curve):
-    violations = validate(curve)
-    if violations:
-        raise InvalidCurveError(violations)
+    if curve._violations:
+        raise InvalidCurveError(curve._violations)
 
 
 def _spanning_forest(curve):
@@ -165,7 +176,7 @@ def betti_number(curve):
     """First Betti number |E| - |V| + #components of a valid curve, which is
     the number of edges outside a spanning forest."""
     check_valid(curve)
-    return len(_spanning_forest(curve)[1])
+    return len(curve._forest[1])
 
 
 def boundary_matrix(curve):
@@ -189,9 +200,12 @@ class CycleBasis:
 
     curve: TropicalCurve
     matrix: tuple  # h rows, each a tuple of |E| ints
+    # One column per edge: the (row index, coefficient) pairs of the rows
+    # through it, in row order.
+    columns: tuple = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        rows = tuple(tuple(int(x) for x in row) for row in self.matrix)
+        rows = tuple(tuple(map(int, row)) for row in self.matrix)
         object.__setattr__(self, "matrix", rows)
         ne = len(self.curve.edges)
         h = betti_number(self.curve)
@@ -206,24 +220,23 @@ class CycleBasis:
                     "cycle row has %d entries, expected one per edge (%d)"
                     % (len(row), ne)
                 )
+        dense = zip(*rows) if rows else [()] * ne
+        columns = tuple(tuple(compress(enumerate(c), c)) for c in dense)
+        object.__setattr__(self, "columns", columns)
         vindex = {vid: k for k, vid in enumerate(self.curve.vertex_ids)}
-        ends = [(vindex[e.src], vindex[e.dst]) for e in self.curve.edges]
-        for i, row in enumerate(rows):
-            image = [0] * len(vindex)
-            for (src, dst), c in zip(ends, row):
-                if c:
-                    image[dst] += c
-                    image[src] -= c
+        images = [[0] * len(vindex) for _ in rows]
+        for edge, column in zip(self.curve.edges, columns):
+            src, dst = vindex[edge.src], vindex[edge.dst]
+            for i, c in column:
+                images[i][dst] += c
+                images[i][src] -= c
+        for i, image in enumerate(images):
             if any(image):
                 raise ValueError("cycle row %d is not in the kernel of the boundary map" % i)
         # A row owns a column where it is +-1 and every other row is 0.  When
         # every row owns one, those columns form a +-1 minor, so the rows are
         # primitive; a fundamental basis owns its cotree columns.
-        owners = set()
-        for column in zip(*rows):
-            through = [i for i, c in enumerate(column) if c]
-            if len(through) == 1 and column[through[0]] in (1, -1):
-                owners.add(through[0])
+        owners = {c[0][0] for c in columns if len(c) == 1 and c[0][1] in (1, -1)}
         if len(owners) < h and smith_divisors([list(r) for r in rows]) != [1] * h:
             raise ValueError("cycle rows do not span the cycle lattice primitively")
 
@@ -241,7 +254,7 @@ def cycle_basis(curve):
     edge id.
     """
     check_valid(curve)
-    tree, cotree = _spanning_forest(curve)
+    tree, cotree = curve._forest
 
     # Forest adjacency: vertex -> list of (neighbor, edge index, sign of
     # traversal in stored orientation).

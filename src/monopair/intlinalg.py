@@ -35,13 +35,6 @@ def mat_mul(a, b):
     return [[sum(x * y for x, y in zip(row, col)) for col in bt] for row in a]
 
 
-def is_symmetric(mat):
-    n = len(mat)
-    if any(len(row) != n for row in mat):
-        return False
-    return all(mat[i][j] == mat[j][i] for i in range(n) for j in range(i))
-
-
 def smith_divisors(mat):
     """Nonzero elementary divisors d1 | d2 | ... of an integer matrix.
 

@@ -3,9 +3,10 @@
 On the free abelian group of oriented edges, the pairing sends a pair of
 coinciding oriented edges to the edge length and everything else to zero,
 extended bilinearly; restricted to the cycle space it is the tropical
-intersection pairing.  Values are monoid-group vectors (signs allowed);
-specializing the base generators at positive integer weights produces the
-integer Gram matrices whose Smith normal form gives the component group.
+intersection pairing.  Values are monoid-group vectors (signs allowed), so a
+Gram matrix is one integer matrix per base generator; specializing the
+generators at positive integer weights is their weighted sum, the integer
+Gram matrix whose Smith normal form gives the component group.
 
 A symmetric integer matrix takes one of two routes.  A matrix made by
 ``specialize`` from ``pairing_matrix`` carries the cycle basis C it came
@@ -18,15 +19,13 @@ exact determinant.
 """
 
 from dataclasses import dataclass, field
+from functools import cached_property
+from itertools import repeat
+from operator import add, mul
 
 from .errors import DegeneratePairingError
 from .graphs import MonoidVector, check_valid
-from .intlinalg import (
-    det,
-    is_symmetric,
-    leading_minors_all_positive,
-    smith_divisors,
-)
+from .intlinalg import det, leading_minors_all_positive, smith_divisors
 
 
 def edge_pairing(c1, c2, curve):
@@ -50,72 +49,68 @@ def edge_pairing(c1, c2, curve):
 class PairingMatrix:
     """Symmetric Gram matrix of the pairing in a chosen cycle basis.
 
-    Entries are monoid-group vectors; for each base generator the integer
-    matrix of that coordinate is symmetric positive semidefinite.
+    Stored as its ``base_rank`` coordinate matrices: ``coords[k]`` is the
+    symmetric positive semidefinite h x h integer matrix of generator k,
+    checked as an ``IntSymMatrix`` is.  ``entries`` reads it as h x h
+    monoid-group vectors, built on the first read (only reports need them).
     """
 
     base_rank: int
-    entries: tuple  # h x h of MonoidVector
+    coords: tuple  # base_rank matrices, each h x h of int
     # The CycleBasis whose Gram matrix this is; only ``pairing_matrix`` sets
     # it, so a hand-built matrix can never claim a basis it does not match.
     basis: object = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        entries = tuple(tuple(row) for row in self.entries)
-        object.__setattr__(self, "entries", entries)
-        h = len(entries)
-        for row in entries:
-            if len(row) != h:
-                raise ValueError("pairing matrix must be square")
-        for i in range(h):
-            for j in range(i):
-                if entries[i][j] != entries[j][i]:
-                    raise ValueError("pairing matrix must be symmetric")
+        coords = tuple(IntSymMatrix(m).entries for m in self.coords)
+        object.__setattr__(self, "coords", coords)
+        if len(coords) != self.base_rank:
+            raise ValueError("pairing matrix needs one coordinate matrix per generator")
+        if any(len(m) != self.h for m in coords):
+            raise ValueError("coordinate matrices must all have the same size")
 
     @property
     def h(self):
-        return len(self.entries)
+        return len(self.coords[0]) if self.coords else 0
+
+    @cached_property
+    def entries(self):
+        """h x h of MonoidVector, built on the first read."""
+        return tuple(
+            tuple(MonoidVector(v) for v in zip(*rows)) for rows in zip(*self.coords)
+        )
 
     def coordinate_matrix(self, k):
         """Integer matrix of the k-th generator coordinate of every entry."""
-        return [[v.coords[k] for v in row] for row in self.entries]
+        return [list(row) for row in self.coords[k]]
 
 
 def pairing_matrix(curve, basis):
     """Gram matrix of the basis rows under the edge pairing.
 
-    The curve is validated once.  Each edge is then visited once, adding
-    length(e) * c_i(e) * c_j(e) to entry (i, j) for every pair of rows i >= j
-    through it.  With k_e the number of rows through edge e, the cost is
-    O(h * |E|) to read the columns plus O(sum over edges of k_e^2 * base_rank)
-    to accumulate.
+    Each edge is visited once through the sparse column the basis keeps,
+    adding length_k(e) * c_i(e) * c_j(e) to entry (i, j) of generator k's
+    lower triangle for every pair of rows i >= j through it; each triangle is
+    mirrored once at the end.  With k_e the number of rows through edge e,
+    the cost is O(sum over edges of k_e^2 * base_rank) to accumulate plus
+    O(h^2 * base_rank) to mirror and check; no per-entry object is made.
     """
     check_valid(curve)
     if basis.curve != curve:
         raise ValueError("cycle basis belongs to a different curve")
-    rows = basis.matrix
-    h = len(rows)
-    # Lower triangle, one list of generator coordinates per entry.
-    sums = [[[0] * curve.base_rank for _ in range(i + 1)] for i in range(h)]
-    for edge, column in zip(curve.edges, zip(*rows)):
-        through = [(i, c) for i, c in enumerate(column) if c]
-        length = edge.length.coords
-        for a, (i, ci) in enumerate(through):
-            row_sums = sums[i]
-            for j, cj in through[: a + 1]:
-                acc = row_sums[j]
-                k = ci * cj
-                for t, x in enumerate(length):
-                    acc[t] += k * x
-    entries = [[None] * h for _ in range(h)]
-    for i in range(h):
-        for j in range(i + 1):
-            value = MonoidVector(tuple(sums[i][j]))
-            entries[i][j] = value
-            entries[j][i] = value
-    pm = PairingMatrix(
-        base_rank=curve.base_rank, entries=tuple(tuple(row) for row in entries)
-    )
+    h = basis.h
+    lowers = [[[0] * h for _ in range(h)] for _ in range(curve.base_rank)]
+    for edge, column in zip(curve.edges, basis.columns):
+        for lower, x in zip(lowers, edge.length.coords):
+            for a, (i, ci) in enumerate(column):
+                row = lower[i]
+                k = x * ci
+                for j, cj in column[: a + 1]:
+                    row[j] += k * cj
+    for lower in lowers:  # row i takes column i below the diagonal
+        for i, col in enumerate(list(zip(*lower))):
+            lower[i][i + 1 :] = col[i + 1 :]
+    pm = PairingMatrix(base_rank=curve.base_rank, coords=lowers)
     object.__setattr__(pm, "basis", basis)
     return pm
 
@@ -135,9 +130,10 @@ class IntSymMatrix:
     basis: object = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        entries = tuple(tuple(int(x) for x in row) for row in self.entries)
+        entries = tuple(tuple(map(int, row)) for row in self.entries)
         object.__setattr__(self, "entries", entries)
-        if not is_symmetric([list(r) for r in entries]):
+        h = len(entries)
+        if any(len(row) != h for row in entries) or tuple(zip(*entries)) != entries:
             raise ValueError("matrix is not symmetric")
 
     @property
@@ -149,10 +145,11 @@ class IntSymMatrix:
 
 
 def specialize(pm, weights):
-    """Evaluate every entry at positive integer weights, one per generator.
+    """Evaluate at positive integer weights, one per generator.
 
-    Each unordered pair (i <= j) is evaluated once and mirrored.  The result
-    carries the basis of ``pm`` when ``pm`` came from ``pairing_matrix``.
+    This is the monoid homomorphism on the coordinate matrices: row i of the
+    result is sum_k weights[k] * coords[k][i].  The result carries the basis
+    of ``pm`` when ``pm`` came from ``pairing_matrix``.
     """
     weights = [int(w) for w in weights]
     if len(weights) != pm.base_rank:
@@ -162,15 +159,13 @@ def specialize(pm, weights):
         )
     if any(w < 1 for w in weights):
         raise ValueError("weights must all be >= 1")
-    lower = [
-        [v.evaluate(weights) for v in row[: i + 1]] for i, row in enumerate(pm.entries)
-    ]
-    mat = IntSymMatrix(
-        tuple(
-            tuple(lower[i][j] if j <= i else lower[j][i] for j in range(pm.h))
-            for i in range(pm.h)
-        )
-    )
+    entries = []
+    for rows in zip(*pm.coords):  # row i of every coordinate matrix
+        total = repeat(0, pm.h)
+        for w, row in zip(weights, rows):
+            total = map(add, total, map(mul, repeat(w), row))
+        entries.append(total)
+    mat = IntSymMatrix(entries)
     object.__setattr__(mat, "basis", pm.basis)
     return mat
 

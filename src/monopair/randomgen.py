@@ -8,6 +8,11 @@ from .graphs import Edge, MonoidVector, TropicalCurve
 from .intlinalg import identity
 
 
+def _ids(prefix, n):
+    """n ids, zero-padded to two digits or more so that they sort in order."""
+    return ["%s%0*d" % (prefix, max(2, len(str(n - 1))), k) for k in range(n)]
+
+
 def random_curve(
     rng,
     max_vertices=8,
@@ -18,25 +23,19 @@ def random_curve(
 ):
     """Random connected multigraph curve (self-loops and parallels allowed)."""
     nv = rng.randint(1, max_vertices)
-    vertices = [("v%02d" % i, rng.randint(0, max_genus) if max_genus else 0) for i in range(nv)]
-    edges = []
+    names = _ids("v", nv)
+    vertices = [(v, rng.randint(0, max_genus) if max_genus else 0) for v in names]
 
     def random_length():
-        coords = [rng.randint(*length_range) for _ in range(base_rank)]
-        return MonoidVector(tuple(coords))
+        return MonoidVector(tuple(rng.randint(*length_range) for _ in range(base_rank)))
 
     # Spanning tree first, then extra edges anywhere.
-    for i in range(1, nv):
-        j = rng.randrange(i)
-        edges.append(("v%02d" % j, "v%02d" % i))
+    ends = [(rng.randrange(i), i) for i in range(1, nv)]
     extra = rng.randint(0, max_edges - (nv - 1))
-    for _ in range(extra):
-        a = rng.randrange(nv)
-        b = rng.randrange(nv)
-        edges.append(("v%02d" % a, "v%02d" % b))
+    ends += [(rng.randrange(nv), rng.randrange(nv)) for _ in range(extra)]
     built = tuple(
-        Edge(id="e%02d" % k, src=src, dst=dst, length=random_length())
-        for k, (src, dst) in enumerate(edges)
+        Edge(id=e, src=names[a], dst=names[b], length=random_length())
+        for e, (a, b) in zip(_ids("e", len(ends)), ends)
     )
     return TropicalCurve(base_rank=base_rank, vertices=tuple(vertices), edges=built)
 

@@ -9,6 +9,8 @@ everything is exact integer or residue arithmetic.
 """
 
 from dataclasses import dataclass
+from itertools import repeat
+from operator import mul
 
 from .graphs import betti_number, check_valid
 from .intlinalg import det, rank
@@ -102,21 +104,15 @@ def picard_lefschetz(B, a, w, modulus=0):
     if modulus:
         w = w % modulus
     size = 2 * (h + a)
-    mat = [[1 if i == j else 0 for j in range(size)] for i in range(size)]
-    offset = h + 2 * a
-    for i in range(h):
-        for j in range(h):
-            value = w * B.entries[i][j]
-            if modulus:
-                value %= modulus
-            mat[i][offset + j] = value
-    return MonodromyOperator(
-        modulus=modulus,
-        h=h,
-        a=a,
-        w=w,
-        matrix=tuple(tuple(row) for row in mat),
-    )
+    rows = []
+    for i in range(size):
+        row = [0] * size
+        row[i] = 1
+        if i < h:
+            scaled = map(mul, repeat(w), B.entries[i])
+            row[size - h :] = [x % modulus for x in scaled] if modulus else scaled
+        rows.append(tuple(row))
+    return MonodromyOperator(modulus=modulus, h=h, a=a, w=w, matrix=tuple(rows))
 
 
 def monodromy_weight_check(B):

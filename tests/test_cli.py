@@ -329,6 +329,29 @@ def test_golden_pl_report_bytes(tmp_path):
     )
 
 
+def test_golden_pairing_and_specialize_report_bytes(tmp_path):
+    """Exact bytes of the symbolic and the specialized Gram report, h = 2."""
+    theta = write(tmp_path, "theta.json", THETA)
+    pairing = run_cli("pairing", theta)
+    assert pairing.returncode == 0
+    assert pairing.stdout == (
+        '{\n  "h": 2,\n  "base_rank": 3,\n  "entries": [\n'
+        "    [\n      [\n        1,\n        1,\n        0\n      ],\n"
+        "      [\n        1,\n        0,\n        0\n      ]\n    ],\n"
+        "    [\n      [\n        1,\n        0,\n        0\n      ],\n"
+        "      [\n        1,\n        0,\n        1\n      ]\n    ]\n"
+        "  ]\n}\n"
+    )
+    spec = run_cli("specialize", theta, "--weights", "1,2,3")
+    assert spec.returncode == 0
+    assert spec.stdout == (
+        '{\n  "h": 2,\n  "entries": [\n'
+        "    [\n      3,\n      1\n    ],\n"
+        "    [\n      1,\n      4\n    ]\n"
+        "  ]\n}\n"
+    )
+
+
 def test_text_format(tmp_path):
     loop = write(tmp_path, "loop.json", LOOP)
     result = run_cli("pl", loop, "--format", "text")

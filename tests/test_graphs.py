@@ -20,6 +20,7 @@ from monopair.graphs import (
     validate,
 )
 from monopair.intlinalg import hermite_normal_form, smith_divisors
+from monopair.pairing import pairing_matrix, specialize
 from monopair.randomgen import random_curve
 
 
@@ -70,6 +71,46 @@ def test_validate_more_violations():
     assert any("monoid" in v for v in violations)
 
 
+def test_a_curve_is_validated_once_per_op(monkeypatch):
+    calls = {"validate": 0, "forest": 0}
+
+    def counting(name, real):
+        def wrapper(curve):
+            calls[name] += 1
+            return real(curve)
+
+        return wrapper
+
+    monkeypatch.setattr(graphs, "validate", counting("validate", graphs.validate))
+    monkeypatch.setattr(
+        graphs, "_spanning_forest", counting("forest", graphs._spanning_forest)
+    )
+    curve = random_curve(random.Random(3), base_rank=2)
+    specialize(pairing_matrix(curve, cycle_basis(curve)), [1, 2])
+    assert calls == {"validate": 1, "forest": 1}
+    # An invalid curve raises on every check, each time with every violation.
+    bad = TropicalCurve(
+        base_rank=1,
+        vertices=(("v0", -1),),
+        edges=(Edge("e0", "v0", "v9", MonoidVector((0,))),),
+    )
+    for _ in range(3):
+        with pytest.raises(InvalidCurveError) as info:
+            cycle_basis(bad)
+        assert info.value.violations == validate(bad) and len(validate(bad)) == 3
+
+
+def test_random_curve_ids_sort_in_creation_order():
+    rng = random.Random(11)
+    sizes = []
+    for _ in range(20):
+        curve = random_curve(rng, max_vertices=120, max_edges=150)
+        for ids in (curve.vertex_ids, curve.edge_ids):
+            assert sorted(ids) == ids
+        sizes.append(len(curve.edges))
+    assert max(sizes) > 100 and min(sizes) < 100
+
+
 def test_betti_examples():
     assert betti_number(loop_curve()) == 1
     assert betti_number(theta_curve()) == 2
@@ -114,6 +155,7 @@ def test_cycle_basis_path_empty():
     basis = cycle_basis(path_curve())
     assert basis.matrix == ()
     assert basis.h == 0
+    assert basis.columns == ((),)
 
 
 def test_cycle_basis_dumbbell_skips_bridge():

@@ -134,6 +134,42 @@ def test_pairing_matrix_matches_oracle_large():
                     assert pm.entries[i][j].coords == pairing_oracle(ri, rj, curve)
 
 
+def test_coordinate_matrices_match_oracles_past_h_40():
+    """Random curves with h in 40..60 and base rank 3: the specialization is
+    C diag(l(w)) C^T, every entry is the bilinear expansion, every coordinate
+    matrix is symmetric, and a basis moved by the caller keeps its columns."""
+    rng = random.Random(83)
+    curves = []
+    while len(curves) < 3:
+        curve = random_curve(rng, max_vertices=40, max_edges=130, base_rank=3)
+        if 40 <= len(curve.edges) - len(curve.vertices) + 1 <= 60:
+            curves.append(curve)
+    for curve in curves:
+        basis = cycle_basis(curve)
+        moved_rows = mat_mul(random_unimodular(rng, basis.h), [list(r) for r in basis.matrix])
+        moved = CycleBasis(curve=curve, matrix=tuple(map(tuple, moved_rows)))
+        for b in (basis, moved):
+            rows = [list(r) for r in b.matrix]
+            dense = [[0] * b.h for _ in curve.edges]
+            for e, column in enumerate(b.columns):
+                for i, c in column:
+                    dense[e][i] = c
+            assert len(b.columns) == len(curve.edges) and dense == transpose(rows)
+            pm = pairing_matrix(curve, b)
+            assert pm.h == b.h >= 40
+            for k in range(3):
+                coord = pm.coordinate_matrix(k)
+                assert coord == transpose(coord)
+            for i, ri in enumerate(rows):
+                for j, rj in enumerate(rows):
+                    assert pm.entries[i][j].coords == pairing_oracle(ri, rj, curve)
+            weights = [rng.randint(1, 9) for _ in range(3)]
+            lengths = [e.length.evaluate(weights) for e in curve.edges]
+            diag = [[x if i == j else 0 for j in range(len(lengths))] for i, x in enumerate(lengths)]
+            expected = mat_mul(mat_mul(rows, diag), transpose(rows))
+            assert [list(r) for r in specialize(pm, weights).entries] == expected
+
+
 def test_pairing_matrix_dumbbell_bridge_free():
     curve = dumbbell_curve(1, 1, 1)
     pm = pairing_matrix(curve, cycle_basis(curve))
@@ -141,6 +177,23 @@ def test_pairing_matrix_dumbbell_bridge_free():
         [(1, 0, 0), (0, 0, 0)],
         [(0, 0, 0), (0, 1, 0)],
     ]
+
+
+def test_pairing_matrix_checks_its_coordinate_matrices():
+    pm = PairingMatrix(base_rank=2, coords=([[1, 2], [2, 5]], [[0, 1], [1, 0]]))
+    assert pm.h == 2 and pm.coords[0] == ((1, 2), (2, 5))
+    assert [[v.coords for v in row] for row in pm.entries] == [
+        [(1, 0), (2, 1)],
+        [(2, 1), (5, 0)],
+    ]
+    for base_rank, coords in (
+        (1, ([[1, 2], [3, 1]],)),  # not symmetric
+        (1, ([[1, 2]],)),  # not square
+        (2, ([[1]],)),  # one matrix short
+        (2, ([[1]], [[1, 0], [0, 1]])),  # sizes differ
+    ):
+        with pytest.raises(ValueError):
+            PairingMatrix(base_rank=base_rank, coords=coords)
 
 
 def test_pairing_matrix_rejects_foreign_basis():
@@ -407,11 +460,11 @@ def test_only_specialize_stamps_the_basis():
     assert pm.basis is basis and spec.basis is basis
     assert "basis" not in repr(spec) and hash(spec) == hash(IntSymMatrix(spec.entries))
     with pytest.raises(TypeError):
-        PairingMatrix(base_rank=1, entries=pm.entries, basis=basis)
+        PairingMatrix(base_rank=1, coords=pm.coords, basis=basis)
     with pytest.raises(TypeError):
         IntSymMatrix(spec.entries, basis=basis)
-    assert PairingMatrix(base_rank=1, entries=pm.entries).basis is None
-    assert specialize(PairingMatrix(base_rank=1, entries=pm.entries), [1]).basis is None
+    assert PairingMatrix(base_rank=1, coords=pm.coords).basis is None
+    assert specialize(PairingMatrix(base_rank=1, coords=pm.coords), [1]).basis is None
     rows = [list(r) for r in spec.entries]
     u = random_unimodular(rng, spec.h)
     moved = IntSymMatrix(tuple(map(tuple, mat_mul(mat_mul(u, rows), transpose(u)))))
