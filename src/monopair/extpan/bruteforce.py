@@ -140,8 +140,9 @@ def ext1_order_exhaustive(source, target):
 
 
 def ext1_order_linalg(source, target):
-    """Class count by exact linear algebra: cocycles counted from the Smith
-    form of the identity system, coboundaries as maps modulo homomorphisms.
+    """Class count by exact linear algebra: cocycles counted by elimination
+    of the identity system over Z/n, coboundaries as maps modulo
+    homomorphisms.
 
     Independent of the table representatives and cheap at any budget, so it
     cross-checks the counting where full enumeration is too expensive.

@@ -264,36 +264,38 @@ def cycle_basis(curve):
         adjacency[edge.src].append((edge.dst, j, 1))
         adjacency[edge.dst].append((edge.src, j, -1))
 
-    def forest_path(start, goal):
-        """Unique forest path start -> goal as (edge index, sign) steps."""
-        if start == goal:
-            return []
-        prev = {start: None}
-        stack = [start]
+    # Root each tree once: the step from a vertex to its parent (parent,
+    # edge index, sign of walking it upward) and the vertex's depth.
+    up = {}
+    depth = {}
+    for root in curve.vertex_ids:
+        if root in depth:
+            continue
+        depth[root] = 0
+        stack = [root]
         while stack:
             x = stack.pop()
-            if x == goal:
-                break
             for y, j, sign in adjacency[x]:
-                if y not in prev:
-                    prev[y] = (x, j, sign)
+                if y not in depth:
+                    depth[y] = depth[x] + 1
+                    up[y] = (x, j, -sign)
                     stack.append(y)
-        steps = []
-        x = goal
-        while x != start:
-            px, j, sign = prev[x]
-            steps.append((j, sign))
-            x = px
-        steps.reverse()
-        return steps
 
     rows = []
     for j in cotree:
         edge = curve.edges[j]
         row = [0] * len(curve.edges)
         row[j] += 1
-        for k, sign in forest_path(edge.dst, edge.src):
-            row[k] += sign
+        # Close the cycle along the unique forest path dst -> src: climb from
+        # both ends to where they meet; the src side is walked downward.
+        x, y = edge.dst, edge.src
+        while x != y:
+            if depth[x] >= depth[y]:
+                x, k, sign = up[x]
+                row[k] += sign
+            else:
+                y, k, sign = up[y]
+                row[k] -= sign
         rows.append(tuple(row))
     return CycleBasis(curve=curve, matrix=tuple(rows))
 

@@ -2,16 +2,18 @@
 
 Everything works on lists of lists of Python ints, so there is no overflow
 and no floating point anywhere.  Matrices range from desk-scale examples to
-the Gram matrices of curves with first Betti number around a hundred.  There
-are two eliminations.  One fraction-free (Bareiss) sweep yields the rank,
-the determinant and the Sylvester verdict; it is cubic in the size, and its
-entries are minors of the input, so they grow only polynomially.  The Smith
-form gives the elementary divisors; it does no modular reduction, so its
-intermediate entries can blow up on nonsingular Gram matrices of twenty or
-more rows.
+the Gram matrices of curves with first Betti number in the hundreds.  One
+fraction-free (Bareiss) sweep yields the rank, the determinant and the
+Sylvester verdict; it is cubic in the size, and its entries are minors of the
+input, so they grow only polynomially.  The Smith form of a square matrix
+with D = |det| != 0 is an elimination over Z/D, whose entries are residues
+mod D (reduced lazily, below D^2 times the number of steps); the same
+elimination over Z/n counts the solutions of a linear system mod n.
+Singular or non-square input keeps the classical Smith loop over the
+integers, whose entries can blow up from twenty or so rows on.
 """
 
-from math import gcd
+from math import gcd, prod
 
 
 def copy_matrix(mat):
@@ -38,9 +40,22 @@ def mat_mul(a, b):
 def smith_divisors(mat):
     """Nonzero elementary divisors d1 | d2 | ... of an integer matrix.
 
-    The number of divisors returned is the rank of the matrix.  Transform
-    matrices are not tracked; only the diagonal is needed here.
+    The number of divisors returned is the rank of the matrix, ones included.
+    A square matrix with D = |det| != 0 is reduced modulo D (see
+    ``_smith_mod``); singular or non-square input takes the classical loop
+    over the integers.  Transform matrices are not tracked; only the diagonal
+    is needed here.
     """
+    if mat and len(mat) == len(mat[0]):
+        d = _bareiss(mat)[1]
+        if d:
+            return _smith_mod(mat, abs(d))
+    return _smith_unreduced(mat)
+
+
+def _smith_unreduced(mat):
+    """Nonzero elementary divisors of any integer matrix, by the classical
+    loop over the integers (no modular reduction, so entries can grow)."""
     a = copy_matrix(mat)
     rows = len(a)
     cols = len(a[0]) if rows else 0
@@ -107,6 +122,149 @@ def smith_divisors(mat):
         divisors.append(abs(p))
         t += 1
     return divisors
+
+
+def _smith_mod(mat, d):
+    """Elementary divisors of a square integer matrix with |det| = d > 0.
+
+    adj(B) B = det(B) I, so the row lattice of B contains d Z^h, and the
+    cokernel Z^h / rows(B) is (Z/d)^h / rows(B mod d), a group of order d.
+    ``_cyclic_orders_mod`` splits it into cyclic factors, and pairwise
+    gcd/lcm turns their orders into the chain d1 | d2 | ...  The orders must
+    multiply to d, which is checked.
+    """
+    orders = _cyclic_orders_mod(mat, d, order=True)
+    if prod(orders) != d:
+        raise ArithmeticError(
+            "Smith form mod %d: the cyclic orders multiply to %d" % (d, prod(orders))
+        )
+    chain = sorted(orders)
+    for i, x in enumerate(chain):
+        for j in range(i + 1, len(chain)):
+            y = chain[j]
+            if y % x:
+                g = gcd(x, y)
+                chain[j] = x // g * y
+                x = g
+        chain[i] = x
+    return chain
+
+
+def _xgcd(a, b):
+    """(g, s, t) with s*a + t*b == g == gcd(a, b), for a, b >= 0."""
+    s, s1, t, t1 = 1, 0, 0, 1
+    while b:
+        q, r = divmod(a, b)
+        a, b = b, r
+        s, s1 = s1, s - q * s1
+        t, t1 = t1, t - q * t1
+    return a, s, t
+
+
+def _cyclic_orders_mod(mat, n, order=False):
+    """Cyclic orders of (Z/n)^cols modulo the row span of an integer matrix.
+
+    A Smith elimination over Z/n.  Each column ends with one pivot a after
+    invertible row and column operations mod n, or none, a = 0, and gives
+    the factor Z/gcd(a, n); one order per column is returned.
+
+    Unit pivots (gcd with n is 1) go first: one row sweep by the inverse
+    clears the column, and the pivot row and column are dropped.  Columns
+    are scanned round-robin until a whole round finds no unit.  The rest is
+    taken a column at a time, a unit pivot still first when the column has
+    one; otherwise 2x2 extended-gcd row steps clear the column and column
+    steps clear the pivot row, repeating while a column step lowers the
+    pivot.  Entries are residues mod n, reduced lazily: a sweep subtracts
+    products f*y with f and y below n, and an entry is reduced when it is
+    read as a pivot, a multiplier or a divisibility test, so it stays below
+    n^2 times the number of steps.
+
+    With ``order`` set, n is the order of that quotient.  Each factor Z/o
+    found leaves a quotient of order n/o, which n/o annihilates, so the
+    modulus shrinks to n/o for the rest of the elimination.
+    """
+    a = [[x % n for x in row] for row in mat]
+    width = len(mat[0]) if mat else 0
+    orders = []
+
+    def drop_column(j):
+        for row in a:
+            row[j] = row[-1]
+            row.pop()
+
+    def unit_sweep(p, j):
+        top = a.pop(p)
+        inv = pow(top[j], -1, n)
+        top = [x * inv % n for x in top]
+        for k, row in enumerate(a):
+            f = row[j] % n
+            if f:
+                a[k] = [x - f * y for x, y in zip(row, top)]
+        drop_column(j)
+        orders.append(1)
+
+    j = misses = 0
+    while misses < width:
+        if j >= width:
+            j = 0
+        p = next((i for i, row in enumerate(a) if row[j] and gcd(row[j], n) == 1), None)
+        if p is None:
+            j += 1
+            misses += 1
+        else:
+            unit_sweep(p, j)
+            width -= 1
+            misses = 0
+
+    def gcd_pivot(p, j):
+        top = [x % n for x in a.pop(p)]
+        while True:
+            for k, row in enumerate(a):
+                b = row[j]
+                if not b:
+                    continue
+                c = top[j]
+                if b % c == 0:
+                    q = b // c
+                    a[k] = [x - q * y for x, y in zip(row, top)]
+                else:
+                    g, s, t = _xgcd(c, b)
+                    u, v = b // g, c // g
+                    top, a[k] = (
+                        [(s * y + t * x) % n for x, y in zip(row, top)],
+                        [(v * x - u * y) % n for x, y in zip(row, top)],
+                    )
+            c = top[j]
+            for k, b in enumerate(top):
+                if b and b % c:
+                    break
+            else:
+                return c
+            # Column step on columns j and k; it refills column j below the
+            # pivot, which the next round of row steps clears again.
+            g, s, t = _xgcd(c, b)
+            u, v = b // g, c // g
+            for row in a + [top]:
+                x, y = row[j], row[k]
+                row[j], row[k] = (s * x + t * y) % n, (v * y - u * x) % n
+
+    while width:
+        j = width - 1
+        width -= 1
+        for row in a:
+            row[j] %= n
+        column = ((gcd(row[j], n), i) for i, row in enumerate(a) if row[j])
+        g, p = min(column, default=(n, None))
+        if p is not None and g == 1:
+            unit_sweep(p, j)
+            continue
+        if p is not None:
+            g = gcd(gcd_pivot(p, j), n)
+        drop_column(j)
+        orders.append(g)
+        if order:
+            n //= g
+    return orders
 
 
 def _bareiss(mat):
@@ -209,17 +367,13 @@ def hermite_normal_form(mat):
 def kernel_count_mod(mat, n):
     """Number of solutions x in (Z/n)^cols of  mat @ x == 0  (mod n).
 
-    Via the elementary divisors d_i of the integer matrix: each constrained
-    coordinate contributes gcd(d_i, n) solutions and each free coordinate
-    contributes n.
+    The solutions depend only on mat mod n, and invertible row and column
+    operations mod n keep their number, so this is the elimination of
+    ``_cyclic_orders_mod`` over Z/n, whose entries stay residues mod n.
+    With pivots a_i on ``steps`` of the columns, the count is
+    n^(cols - steps) * prod gcd(a_i, n); a column left zero is free,
+    gcd(0, n) = n.
     """
     if n < 1:
         raise ValueError("modulus must be >= 1")
-    cols = len(mat[0]) if mat else 0
-    if cols == 0:
-        return 1
-    divisors = smith_divisors(mat)
-    count = n ** (cols - len(divisors))
-    for d in divisors:
-        count *= gcd(d, n)
-    return count
+    return prod(_cyclic_orders_mod(mat, n))

@@ -190,6 +190,8 @@ def component_group(mat):
     dual, written as a list of cyclic orders d1 | d2 | ...  A matrix carrying
     its cycle basis is nondegenerate by the Gram certificate; any other must
     have a nonzero exact determinant, or DegeneratePairingError is raised.
+    The divisors come from ``smith_divisors``, which works modulo D = |det|,
+    the order of the group, so its entries stay residues mod D.
     """
     if not isinstance(mat, IntSymMatrix):
         mat = IntSymMatrix(tuple(tuple(row) for row in mat))

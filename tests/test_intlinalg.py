@@ -114,10 +114,10 @@ def test_hermite_row_lattice_canonical():
 
 def test_kernel_count_mod_against_enumeration():
     rng = random.Random(17)
-    for _ in range(40):
-        rows = rng.randint(1, 3)
+    for _ in range(80):
+        rows = rng.randint(1, 5)
         cols = rng.randint(1, 3)
-        n = rng.choice([2, 3, 4, 6])
+        n = rng.choice([1, 2, 3, 4, 6, 8, 9, 12])
         mat = [[rng.randint(-3, 3) for _ in range(cols)] for _ in range(rows)]
         expected = 0
         for x in range(n**cols):
@@ -125,6 +125,10 @@ def test_kernel_count_mod_against_enumeration():
             if all(sum(a * v for a, v in zip(row, vec)) % n == 0 for row in mat):
                 expected += 1
         assert kernel_count_mod(mat, n) == expected
+    # Pivots that are neither units nor divisors of n count gcd(a, n).
+    assert kernel_count_mod([[4]], 6) == 2
+    assert kernel_count_mod([[4, 0], [0, 9]], 12) == 4 * 3
+    assert kernel_count_mod([[0, 0]], 5) == 25
 
 
 def test_rank_matches_transpose():
