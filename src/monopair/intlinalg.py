@@ -5,12 +5,12 @@ and no floating point anywhere.  Matrices range from desk-scale examples to
 the Gram matrices of curves with first Betti number in the hundreds.  One
 fraction-free (Bareiss) sweep yields the rank, the determinant and the
 Sylvester verdict; it is cubic in the size, and its entries are minors of the
-input, so they grow only polynomially.  The Smith form of a square matrix
-with D = |det| != 0 is an elimination over Z/D, whose entries are residues
-mod D (reduced lazily, below D^2 times the number of steps); the same
+input, so they grow only polynomially.  The Smith form of a matrix of rank
+r is an elimination modulo |M| for a nonzero r x r minor M, the last pivot
+of that sweep (M = det for square nonsingular input).  Its entries are
+residues, reduced lazily (below M^2 times the number of steps), so they do
+not blow up as in the classical Smith loop over the integers.  The same
 elimination over Z/n counts the solutions of a linear system mod n.
-Singular or non-square input keeps the classical Smith loop over the
-integers, whose entries can blow up from twenty or so rows on.
 """
 
 from math import gcd, prod
@@ -40,104 +40,32 @@ def mat_mul(a, b):
 def smith_divisors(mat):
     """Nonzero elementary divisors d1 | d2 | ... of an integer matrix.
 
-    The number of divisors returned is the rank of the matrix, ones included.
-    A square matrix with D = |det| != 0 is reduced modulo D (see
-    ``_smith_mod``); singular or non-square input takes the classical loop
-    over the integers.  Transform matrices are not tracked; only the diagonal
-    is needed here.
+    The number of divisors returned is the rank r of the matrix, ones
+    included.  The Bareiss sweep gives r and a nonzero r x r minor M, and
+    the Smith form is an elimination modulo |M| (see ``_smith_mod``): for
+    square nonsingular input M is the determinant.  Transform matrices are
+    not tracked; only the diagonal is needed here.
     """
-    if mat and len(mat) == len(mat[0]):
-        d = _bareiss(mat)[1]
-        if d:
-            return _smith_mod(mat, abs(d))
-    return _smith_unreduced(mat)
+    r, d, _, minor = _bareiss(mat)
+    return _smith_mod(mat, abs(minor), None if d else r)
 
 
-def _smith_unreduced(mat):
-    """Nonzero elementary divisors of any integer matrix, by the classical
-    loop over the integers (no modular reduction, so entries can grow)."""
-    a = copy_matrix(mat)
-    rows = len(a)
-    cols = len(a[0]) if rows else 0
-    divisors = []
-    t = 0
-    while t < rows and t < cols:
-        # Find the entry of least nonzero magnitude in the trailing block.
-        pivot = None
-        best = None
-        for i in range(t, rows):
-            for j in range(t, cols):
-                v = a[i][j]
-                if v != 0 and (best is None or abs(v) < best):
-                    best = abs(v)
-                    pivot = (i, j)
-        if pivot is None:
-            break
-        pi, pj = pivot
-        a[t], a[pi] = a[pi], a[t]
-        for row in a:
-            row[t], row[pj] = row[pj], row[t]
-        # Clear the pivot row and column; restart whenever a remainder
-        # produces a smaller entry (classical reduction loop).
-        while True:
-            p = a[t][t]
-            dirty = False
-            for i in range(t + 1, rows):
-                q = a[i][t] // p
-                if q:
-                    for j in range(t, cols):
-                        a[i][j] -= q * a[t][j]
-                if a[i][t]:
-                    a[t], a[i] = a[i], a[t]
-                    dirty = True
-                    break
-            if dirty:
-                continue
-            for j in range(t + 1, cols):
-                q = a[t][j] // p
-                if q:
-                    for i in range(t, rows):
-                        a[i][j] -= q * a[i][t]
-                if a[t][j]:
-                    for row in a:
-                        row[t], row[j] = row[j], row[t]
-                    dirty = True
-                    break
-            if not dirty:
-                break
-        # Enforce divisibility of the remaining block by the pivot.
-        p = a[t][t]
-        offender = None
-        for i in range(t + 1, rows):
-            for j in range(t + 1, cols):
-                if a[i][j] % p:
-                    offender = i
-                    break
-            if offender is not None:
-                break
-        if offender is not None:
-            for j in range(t, cols):
-                a[t][j] += a[offender][j]
-            continue
-        divisors.append(abs(p))
-        t += 1
-    return divisors
+def _smith_mod(mat, m, r=None):
+    """Elementary divisors of an integer matrix, by an elimination modulo m.
 
-
-def _smith_mod(mat, d):
-    """Elementary divisors of a square integer matrix with |det| = d > 0.
-
-    adj(B) B = det(B) I, so the row lattice of B contains d Z^h, and the
-    cokernel Z^h / rows(B) is (Z/d)^h / rows(B mod d), a group of order d.
-    ``_cyclic_orders_mod`` splits it into cyclic factors, and pairwise
-    gcd/lcm turns their orders into the chain d1 | d2 | ...  The orders must
-    multiply to d, which is checked.
+    With r None the matrix is square and m = |det| > 0: adj(B) B = det(B) I,
+    so the row lattice of B contains m Z^h, and the cokernel Z^h / rows(B)
+    is (Z/m)^h / rows(B mod m), a group of order m.  Otherwise r is the rank
+    and m = |M| for a nonzero r x r minor M.  The divisors d1 | ... | dr
+    multiply to the gcd of all r x r minors, so each divides m, and the
+    quotient (Z/m)^cols / rows(mat mod m) is the sum of the Z/di and of
+    cols - r copies of Z/m.  ``_cyclic_orders_mod`` splits it into cyclic
+    factors, and pairwise gcd/lcm turns their orders into the chain whose
+    first r entries are d1 | ... | dr.  A cheap check raises ArithmeticError:
+    with r None the orders must multiply to m; otherwise the chain past r
+    must be all m, and its first r entries must multiply to a divisor of m.
     """
-    orders = _cyclic_orders_mod(mat, d, order=True)
-    if prod(orders) != d:
-        raise ArithmeticError(
-            "Smith form mod %d: the cyclic orders multiply to %d" % (d, prod(orders))
-        )
+    orders = _cyclic_orders_mod(mat, m, order=r is None)
     chain = sorted(orders)
     for i, x in enumerate(chain):
         for j in range(i + 1, len(chain)):
@@ -147,7 +75,17 @@ def _smith_mod(mat, d):
                 chain[j] = x // g * y
                 x = g
         chain[i] = x
-    return chain
+    if r is None:
+        if prod(orders) != m:
+            raise ArithmeticError(
+                "Smith form mod %d: the cyclic orders multiply to %d" % (m, prod(orders))
+            )
+        return chain
+    if any(x != m for x in chain[r:]) or m % prod(chain[:r]):
+        raise ArithmeticError(
+            "Smith form mod %d at rank %d: the chain %s does not fit" % (m, r, chain)
+        )
+    return chain[:r]
 
 
 def _xgcd(a, b):
@@ -268,14 +206,17 @@ def _cyclic_orders_mod(mat, n, order=False):
 
 
 def _bareiss(mat):
-    """One fraction-free (Bareiss) echelon sweep: ``(rank, det, sylvester)``.
+    """One fraction-free (Bareiss) echelon sweep:
+    ``(rank, det, sylvester, minor)``.
 
     Rows are swapped only at a zero pivot, and a column that is zero from the
     pivot row down is skipped; every entry stays a minor of the input, so each
     division is exact.  ``det`` is signed, and None for non-square input.
     Until the first swap the pivots are the leading principal minors, so
     ``sylvester`` (all of them > 0) holds iff no swap was needed, the rank is
-    full and every pivot is positive.
+    full and every pivot is positive.  ``minor`` is the last pivot, a nonzero
+    rank x rank minor of the input (1 at rank 0), the modulus of
+    ``smith_divisors``.
     """
     a = copy_matrix(mat)
     rows = len(a)
@@ -306,9 +247,9 @@ def _bareiss(mat):
         prev = p
         r += 1
     if rows != cols:
-        return r, None, False
+        return r, None, False, prev
     full = r == rows
-    return r, sign * prev if full else 0, sylvester and full
+    return r, sign * prev if full else 0, sylvester and full, prev
 
 
 def rank(mat):
@@ -325,43 +266,6 @@ def det(mat):
 def leading_minors_all_positive(mat):
     """True iff every leading principal minor is > 0 (Sylvester criterion)."""
     return _bareiss(mat)[2]
-
-
-def hermite_normal_form(mat):
-    """Row-style Hermite normal form (canonical basis of the row lattice).
-
-    Pivots are positive, entries above each pivot are reduced into [0, pivot),
-    and zero rows are dropped.  Two integer matrices span the same row lattice
-    iff their HNFs coincide.
-    """
-    a = [list(row) for row in mat if any(row)]
-    if not a:
-        return []
-    cols = len(a[0])
-    r = 0
-    for j in range(cols):
-        piv = None
-        for i in range(r, len(a)):
-            if a[i][j]:
-                piv = i
-                break
-        if piv is None:
-            continue
-        a[r], a[piv] = a[piv], a[r]
-        # Clear below via gcd row operations.
-        for i in range(r + 1, len(a)):
-            while a[i][j]:
-                q = a[r][j] // a[i][j]
-                a[r] = [x - q * y for x, y in zip(a[r], a[i])]
-                a[r], a[i] = a[i], a[r]
-        if a[r][j] < 0:
-            a[r] = [-x for x in a[r]]
-        for i in range(r):
-            q = a[i][j] // a[r][j]
-            if q:
-                a[i] = [x - q * y for x, y in zip(a[i], a[r])]
-        r += 1
-    return [row for row in a[:r]]
 
 
 def kernel_count_mod(mat, n):

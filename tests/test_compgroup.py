@@ -2,12 +2,12 @@
 
 The ``compgroup`` route is the Smith form of the specialized Gram matrix
 modulo its determinant.  It is checked against the classical Smith loop over
-the integers, and against Raynaud's description: the component group is the
-critical group of the dual graph with every edge cut into l_e(w) unit edges
-(a self-loop of length l becomes an l-cycle, which adds Z/l).  That critical
-group is computed here from the Laplacian, by unit pivots over the integers
-and a Smith loop modulo the residual determinant, with no code from
-``monopair.intlinalg``.
+the integers (``conftest.smith_unreduced``), and against Raynaud's
+description: the component group is the critical group of the dual graph
+with every edge cut into l_e(w) unit edges (a self-loop of length l becomes
+an l-cycle, which adds Z/l).  That critical group is computed here from the
+Laplacian, by unit pivots over the integers and a Smith loop modulo the
+residual determinant, with no code from ``monopair.intlinalg``.
 """
 
 import contextlib
@@ -18,6 +18,7 @@ from math import gcd
 
 import pytest
 
+from conftest import smith_unreduced
 from monopair import cli, graphs, intlinalg
 from monopair.errors import DegeneratePairingError
 from monopair.graphs import CycleBasis, Edge, MonoidVector, TropicalCurve, curve_to_dict
@@ -188,7 +189,7 @@ def test_oracles_on_known_groups():
 
 
 def test_component_group_matches_unreduced_smith():
-    """Against the classical loop, called directly.  That loop does not finish
+    """Against the classical loop of conftest.  That loop does not finish
     (2 s limit) on about one rank-1 Gram matrix in ten at h 17-25 and on
     most rank-3 ones past h = 16, so this is a fixed draw on which it does:
     rank 1 up to h = 25, rank 3 up to h = 16.  The critical-group test below
@@ -203,7 +204,7 @@ def test_component_group_matches_unreduced_smith():
         weights = [rng.randint(1, 3) for _ in range(base_rank)]
         spec = specialize(pairing_matrix(curve, graphs.cycle_basis(curve)), weights)
         rows = spec.rows()
-        unreduced = intlinalg._smith_unreduced(rows)
+        unreduced = smith_unreduced(rows)
         assert smith_divisors(rows) == unreduced
         assert component_group(spec) == [d for d in unreduced if d > 1]
 
@@ -216,7 +217,7 @@ def test_small_matrices_match_both_smith_oracles():
         if k % 2:
             mat = [[mat[max(i, j)][min(i, j)] for j in range(n)] for i in range(n)]
         if fraction_free_det(mat):
-            assert smith_divisors(mat) == intlinalg._smith_unreduced(mat) == smith_modulo_det(mat)
+            assert smith_divisors(mat) == smith_unreduced(mat) == smith_modulo_det(mat)
     assert smith_divisors([[8, 0], [0, -11]]) == [1, 88]
     assert smith_divisors([[10, -5], [-5, 10]]) == [5, 15]
 
@@ -270,7 +271,29 @@ def test_smith_modulo_det_edge_cases(monkeypatch):
         component_group(IntSymMatrix(((2, 2, 0), (2, 2, 0), (0, 0, 5))))
 
 
+def test_component_group_takes_one_sweep(monkeypatch):
+    # An unstamped matrix: the rank of its Smith form is the nondegeneracy
+    # test, so no separate determinant sweep runs.
+    sweeps = []
+    bareiss = intlinalg._bareiss
+    monkeypatch.setattr(intlinalg, "_bareiss", lambda mat: sweeps.append(mat) or bareiss(mat))
+    assert component_group(IntSymMatrix(((2, 1, 0), (1, 2, 1), (0, 1, 2)))) == [4]
+    assert len(sweeps) == 1
+    with pytest.raises(DegeneratePairingError, match="^degenerate pairing: determinant is zero$"):
+        component_group(IntSymMatrix(((1, 1, 0), (1, 1, 0), (0, 0, 3))))
+    assert len(sweeps) == 2
+
+
 def test_smith_modulo_det_checks_the_product():
     # Modulo 6 the cokernel of [[2, 1], [1, 2]] (order 3) has order 3, not 6.
     with pytest.raises(ArithmeticError, match="multiply to 3"):
         intlinalg._smith_mod([[2, 1], [1, 2]], 6)
+
+
+def test_smith_modulo_a_minor_checks_the_chain():
+    # [[2, 0], [0, 2], [0, 0]] has rank 2 and divisors [2, 2]; modulo 2, not
+    # its 2 x 2 minor 4, the first two entries of the chain multiply to 4,
+    # which does not divide 2.
+    assert intlinalg._smith_mod([[2, 0], [0, 2], [0, 0]], 4, 2) == [2, 2]
+    with pytest.raises(ArithmeticError, match="at rank 2"):
+        intlinalg._smith_mod([[2, 0], [0, 2], [0, 0]], 2, 2)

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from conftest import dumbbell_curve, loop_curve, path_curve, theta_curve
+from conftest import dumbbell_curve, hermite_normal_form, loop_curve, path_curve, theta_curve
 from monopair import graphs
 from monopair.errors import InputFormatError, InvalidCurveError
 from monopair.graphs import (
@@ -19,7 +19,7 @@ from monopair.graphs import (
     cycle_basis,
     validate,
 )
-from monopair.intlinalg import hermite_normal_form, smith_divisors
+from monopair.intlinalg import smith_divisors
 from monopair.pairing import pairing_matrix, specialize
 from monopair.randomgen import random_curve
 

@@ -2,9 +2,9 @@
 
 import random
 
+from conftest import hermite_normal_form, smith_unreduced
 from monopair.intlinalg import (
     det,
-    hermite_normal_form,
     kernel_count_mod,
     leading_minors_all_positive,
     mat_mul,
@@ -41,15 +41,43 @@ def test_smith_divisors_known():
     assert smith_divisors([[0]]) == []
     # Divisibility chain with mixed content.
     assert smith_divisors([[2, 4, 4], [-6, 6, 12], [10, 4, 16]]) == [2, 2, 156]
+    # Non-square and singular: rank-many divisors, modulo the last Bareiss
+    # pivot, which need not be their product (2 for [[2, 3]], 6 for the
+    # 3 x 2 matrix, whose other 2 x 2 minors are 2 and -3).
+    assert smith_divisors([[]]) == [] and smith_divisors([[0, 0], [0, 0], [0, 0]]) == []
+    assert smith_divisors([[2, 4]]) == [2] and smith_divisors([[2, 3]]) == [1]
+    assert smith_divisors([[2, 0], [0, 3], [1, 1]]) == [1, 1]
+    assert smith_divisors([[2, 0], [0, 2], [0, 0]]) == [2, 2]
+    assert smith_divisors([[6, 0, 0], [0, 4, 0], [0, 0, 0]]) == [2, 12]
 
 
 def test_smith_divisors_random_properties():
+    """Exact divisors against the classical loop, on every kind of input:
+    square and rectangular, a zero row or column, a duplicated row, rank 1,
+    and a row that is a combination of two others."""
     rng = random.Random(7)
-    for _ in range(60):
-        rows = rng.randint(1, 5)
-        cols = rng.randint(1, 5)
+    for k in range(600):
+        rows = rng.randint(1, 6)
+        cols = rng.randint(1, 6)
         mat = [[rng.randint(-4, 4) for _ in range(cols)] for _ in range(rows)]
+        shape = k % 6
+        if shape == 1:
+            mat[rng.randrange(rows)] = [0] * cols
+        elif shape == 2:
+            j = rng.randrange(cols)
+            for row in mat:
+                row[j] = 0
+        elif shape == 3:
+            mat[rng.randrange(rows)] = list(mat[rng.randrange(rows)])
+        elif shape == 4:
+            u = [rng.randint(-6, 6) for _ in range(rows)]
+            mat = [[x * y for y in mat[0]] for x in u]
+        elif shape == 5:
+            a, b = rng.randint(-3, 3), rng.randint(-3, 3)
+            x, y = mat[rng.randrange(rows)], mat[rng.randrange(rows)]
+            mat[rng.randrange(rows)] = [a * p + b * q for p, q in zip(x, y)]
         divisors = smith_divisors(mat)
+        assert divisors == smith_unreduced(mat)
         assert all(d > 0 for d in divisors)
         for a, b in zip(divisors, divisors[1:]):
             assert b % a == 0
@@ -137,7 +165,8 @@ def test_rank_matches_transpose():
         mat = [[rng.randint(-3, 3) for _ in range(4)] for _ in range(2)]
         assert rank(mat) == rank(transpose(mat))
         assert rank(mat_mul(mat, transpose(mat))) <= rank(mat)
-    # Against the Smith form, with zero rows, zero columns and duplicated rows.
+    # Against the Smith form, its classical oracle and the Smith form of the
+    # transpose, with zero rows, zero columns and duplicated rows.
     for _ in range(300):
         rows = rng.randint(1, 6)
         cols = rng.randint(1, 6)
@@ -151,5 +180,7 @@ def test_rank_matches_transpose():
                 row[j] = 0
         elif shape == 3:
             mat[rng.randrange(rows)] = list(mat[rng.randrange(rows)])
-        assert rank(mat) == len(smith_divisors(mat))
+        divisors = smith_divisors(mat)
+        assert divisors == smith_unreduced(mat) == smith_divisors(transpose(mat))
+        assert rank(mat) == len(divisors)
         assert rank(mat) == rank(transpose(mat))

@@ -1,12 +1,13 @@
 """Weight dimensions, torsion ranks, monodromy operators, Hodge tables."""
 
 import random
+from math import gcd, prod
 
 import pytest
 
 from conftest import loop_curve, theta_curve, theta_unit_curve
-from monopair.graphs import Edge, MonoidVector, TropicalCurve, cycle_basis
-from monopair.intlinalg import mat_mul, smith_divisors
+from monopair.graphs import Edge, MonoidVector, TropicalCurve, betti_number, cycle_basis
+from monopair.intlinalg import kernel_count_mod, mat_mul, smith_divisors
 from monopair.pairing import IntSymMatrix, pairing_matrix, specialize
 from monopair.randomgen import random_curve
 from monopair.realizations import (
@@ -196,6 +197,42 @@ def test_nilpotent_rank_equals_matrix_rank():
     singular = IntSymMatrix(tuple(tuple(row) for row in rows))
     op = picard_lefschetz(singular, a=1, w=3)
     assert nilpotent_rank(op) == len(smith_divisors(rows)) == small.h
+
+
+def test_invariant_cycles_mod_n_count_the_component_group():
+    """Picard-Lefschetz against the component group (SGA 7 I, expose IX).
+
+    N - I mod n is w * B on the top-weight block and zero elsewhere, so its
+    kernel is n^(h + 2a) free classes times the kernel of w * B mod n, whose
+    Smith form is w * d_i: |ker(N - I)| = n^(h + 2a) * prod gcd(w d_i, n),
+    with d_i all h elementary divisors of B.  The kernel is counted by the
+    elimination over Z/n, the d_i by the Smith form modulo det B.
+    """
+    rng = random.Random(61)
+    sizes = []
+    for k, top in enumerate((1, 2, 3, 4, 6, 8, 12, 16, 24, 32, 48, 64, 80, 80)):
+        base_rank = 1 + k % 3
+        while True:
+            curve = random_curve(
+                rng, max_vertices=10, max_edges=top + 9, base_rank=base_rank, max_genus=2
+            )
+            if curve.genus_sum() >= 1 and top * 3 // 4 <= betti_number(curve) <= top:
+                break
+        weights = [rng.randint(1, 3) for _ in range(base_rank)]
+        spec = specialize(pairing_matrix(curve, cycle_basis(curve)), weights)
+        divisors = smith_divisors(spec.rows())
+        h, a = spec.h, weight_dims(curve).a
+        assert len(divisors) == h and a >= 1
+        for n in (2, 3, 4, 6, 12, 30):
+            for w in (1, 2, 3):
+                op = picard_lefschetz(spec, a=a, w=w, modulus=n)
+                rows = op.rows()
+                for i in range(op.size):
+                    rows[i][i] -= 1
+                expected = n ** (h + 2 * a) * prod(gcd(w * d, n) for d in divisors)
+                assert kernel_count_mod(rows, n) == expected
+        sizes.append(h)
+    assert min(sizes) == 1 and max(sizes) == 80
 
 
 def test_hodge_table_examples():
