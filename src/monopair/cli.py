@@ -99,6 +99,12 @@ def _specialized(curve, weights):
     return specialize(pm, _resolve_weights(weights, curve.base_rank))
 
 
+def _int_list(value):
+    """A JSON array of integers; booleans and floats compare equal to
+    integers in Python, so they are excluded by type."""
+    return isinstance(value, list) and all(type(v) is int for v in value)
+
+
 def _load_class_spec(spec, source, target, flag):
     """--e/--f value: 'split', 'nonsplit', or a cocycle-table JSON file,
     which is validated and reduced to its class."""
@@ -112,7 +118,7 @@ def _load_class_spec(spec, source, target, flag):
         raise InputFormatError(
             "%s (%s): needs exactly keys 'source', 'target', 'table'" % (flag, spec)
         )
-    if not isinstance(data["source"], list) or not isinstance(data["target"], list):
+    if not _int_list(data["source"]) or not _int_list(data["target"]):
         raise InputFormatError(
             "%s (%s): 'source' and 'target' must be arrays of cyclic orders" % (flag, spec)
         )
@@ -133,11 +139,11 @@ def _load_class_spec(spec, source, target, flag):
         or any(not isinstance(row, list) or len(row) != qn for row in table)
     ):
         raise InputFormatError("%s (%s): table must be %d x %d" % (flag, spec, qn, qn))
-    try:
-        matrix = tuple(
-            tuple(tindex[tuple(v)] for v in row) for row in table
-        )
-    except (KeyError, TypeError):
+    matrix = tuple(
+        tuple(tindex.get(tuple(v)) if _int_list(v) else None for v in row)
+        for row in table
+    )
+    if any(None in row for row in matrix):
         raise InputFormatError(
             "%s (%s): table entries must be coordinate lists of target elements"
             % (flag, spec)

@@ -20,6 +20,7 @@ live in ``bruteforce`` as independent oracles.
 from itertools import product
 
 from ..errors import BudgetExceededError
+from .groups import TwistedGroup
 
 EXT_BUDGET = 12
 
@@ -244,41 +245,35 @@ def coboundary_witness(diff):
     """h with delta-h == diff, or None; constructive, no search.
 
     Solves m_i * c_i = -(transgression_i) in the target for each cyclic factor
-    of the source, assembles the homomorphic section of the classified
-    extension group from the lifted generators, and reads the witness off its
-    first components.  A solution exists exactly when every transgression lies
-    in the corresponding multiples subgroup.
+    of the source.  The lifted generators (g_i, c_i) of the extension group
+    classified by diff (``TwistedGroup(source, target, diff)``) then span a
+    homomorphic section, summed in that group's index tables; the witness is
+    read off the fiber components of the section's element tuples.  A
+    solution exists exactly when every transgression lies in the
+    corresponding multiples subgroup.
     """
     source = diff.source
     target = diff.target
-    qops = source.ops()
     tops = target.ops()
-    factors = source.factors
     trans = diff.transgressions()
     lift_params = []
-    for t, m in zip(trans, factors):
+    for t, m in zip(trans, source.factors):
         c = tops.solve_scalar(m, tops.neg[t])
         if c is None:
             return None
         lift_params.append(c)
 
-    # Extension group on pairs (t, q) with addition twisted by diff.
-    def xadd(x, y):
-        t1, q1 = x
-        t2, q2 = y
-        return (tops.add[tops.add[t1][t2]][diff.matrix[q1][q2]], qops.add[q1][q2])
-
-    gens = [qops.index[g] for g in source.generators()]
-    elems = source.elements()
-    h = [0] * source.order
-    for qi, e in enumerate(elems):
-        acc = (0, 0)
-        for a, c, g in zip(e, lift_params, gens):
-            step = (c, g)
-            for _ in range(a):
-                acc = xadd(acc, step)
-        assert acc[1] == qi
-        h[qi] = tops.neg[acc[0]]
+    xops = TwistedGroup(source, target, diff.matrix).ops()
+    telems = target.elements()
+    lifts = [xops.index[(g, telems[c])] for g, c in zip(source.generators(), lift_params)]
+    h = []
+    for e in source.elements():
+        acc = 0
+        for a, lift in zip(e, lifts):
+            acc = xops.add[acc][xops.scalar(a, lift)]
+        q, t = xops.elems[acc]
+        assert q == e
+        h.append(tops.neg[tops.index[t]])
     if coboundary_of(source, target, h).matrix != diff.matrix:
         raise AssertionError("constructed witness does not reproduce the table")
     return h

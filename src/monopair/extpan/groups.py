@@ -1,15 +1,17 @@
-"""Finite abelian groups as explicit element arithmetic.
+"""Finite abelian groups as dense index tables.
 
 Two concrete kinds are used: direct sums of cyclic groups presented by a
-factor list (elements are integer tuples reduced componentwise), and twisted
-groups built on pairs (r, p) whose addition is corrected by a symmetric
-2-cocycle table; the latter realize the middle groups of extensions without
-ever choosing a splitting.
+factor list, and twisted groups built on pairs (r, p) whose addition is
+corrected by a symmetric 2-cocycle table; the latter realize the middle
+groups of extensions without ever choosing a splitting.
 
-For the brute-force machinery every group exposes a cached index view
-(``ops()``) encoding elements as 0-based indices with dense addition and
-negation tables; index 0 is always the zero element and the element order is
-deterministic, so everything downstream is reproducible.
+Every group has a cached index view (``ops()``): dense addition and
+negation tables over 0-based indices, 0 being the zero element.  The pair
+(r, p) of an extension of R by P has index r*|P| + p, and one builder makes
+the tables of both kinds from those of R and P; a direct sum is folded in one
+cyclic factor at a time with zero twist.  The order is thus the lexicographic
+one of the element tuples, which are only a view for input, output, the tests
+and naming the components of a pair; no other module relies on the encoding.
 """
 
 from itertools import product
@@ -17,17 +19,30 @@ from itertools import product
 from ..errors import InputFormatError
 
 
-class GroupOps:
-    """Index-encoded view of a finite abelian group."""
+def _pair_tables(radd, rneg, padd, pneg, twist):
+    """Addition and negation tables of the pairs (r, p) at index r*|P| + p,
+    where (r1, p1) + (r2, p2) = (r1 + r2, p1 + p2 + twist[r1][r2]) and so
+    -(r, p) = (-r, -(p + twist[r][-r]))."""
+    pn = len(pneg)
+    add = [
+        [rs * pn + v for rs, t in zip(rrow, trow) for v in padd[prow[t]]]
+        for rrow, trow in zip(radd, twist)
+        for prow in padd
+    ]
+    neg = [nr * pn + pneg[padd[p][trow[nr]]] for nr, trow in zip(rneg, twist) for p in range(pn)]
+    return add, neg
 
-    def __init__(self, elems, add_fn, neg_fn):
+
+class GroupOps:
+    """Index view of a finite abelian group: dense ``add`` and ``neg`` tables,
+    plus the element tuples ``elems`` and ``index``, a view for I/O and tests."""
+
+    def __init__(self, elems, add, neg):
         self.elems = tuple(elems)
         self.n = len(self.elems)
         self.index = {e: i for i, e in enumerate(self.elems)}
-        self.add = [
-            [self.index[add_fn(a, b)] for b in self.elems] for a in self.elems
-        ]
-        self.neg = [self.index[neg_fn(a)] for a in self.elems]
+        self.add = add
+        self.neg = neg
         self._coset_reps = {}
         self._multiples = {}
         # Tables of the brute-force coboundary search, built by ``bruteforce``.
@@ -138,7 +153,13 @@ class FinAbGroup:
 
     def ops(self):
         if self._ops is None:
-            self._ops = GroupOps(self.elements(), self.add, self.neg)
+            # Z/m1 + ... + Z/mk as split extensions by one factor at a time.
+            add, neg = [[0]], [0]
+            for m in self.factors:
+                cyclic = [[(a + b) % m for b in range(m)] for a in range(m)]
+                no_twist = [[0] * len(neg)] * len(neg)
+                add, neg = _pair_tables(add, neg, cyclic, [-a % m for a in range(m)], no_twist)
+            self._ops = GroupOps(self.elements(), add, neg)
         return self._ops
 
     def key(self):
@@ -161,7 +182,8 @@ class TwistedGroup:
 
     This is the middle group of the extension of ``base`` (the quotient R) by
     ``fiber`` (the subgroup P) classified by the given table: projection drops
-    the p component, inclusion plants p over r = 0.
+    the p component, inclusion plants p over r = 0.  The pair of base index r
+    and fiber index p has index r*|P| + p.
     """
 
     def __init__(self, base, fiber, table_matrix):
@@ -173,7 +195,7 @@ class TwistedGroup:
         pelems = fiber.elements()
         self._elements = tuple((r, p) for r in base.elements() for p in pelems)
         self._project = None
-        self._include = None
+        self._include = range(fiber.order)
 
     @property
     def order(self):
@@ -185,40 +207,23 @@ class TwistedGroup:
     def zero(self):
         return (self.base.zero(), self.fiber.zero())
 
-    def _twist(self, r1, r2):
-        rops = self.base.ops()
-        pelems = self.fiber.elements()
-        return pelems[self.table[rops.index[r1]][rops.index[r2]]]
-
-    def add(self, a, b):
-        r = self.base.add(a[0], b[0])
-        p = self.fiber.add(self.fiber.add(a[1], b[1]), self._twist(a[0], b[0]))
-        return (r, p)
-
-    def neg(self, a):
-        nr = self.base.neg(a[0])
-        # (r,p) + (-r, x) = (0, p + x + f(r,-r)); solve x.
-        p = self.fiber.neg(self.fiber.add(a[1], self._twist(a[0], nr)))
-        return (nr, p)
-
     def ops(self):
         if self._ops is None:
-            self._ops = GroupOps(self.elements(), self.add, self.neg)
+            rops = self.base.ops()
+            pops = self.fiber.ops()
+            add, neg = _pair_tables(rops.add, rops.neg, pops.add, pops.neg, self.table)
+            self._ops = GroupOps(self.elements(), add, neg)
         return self._ops
 
     def project_table(self):
         """Element index -> base element index.  Built once."""
         if self._project is None:
-            rindex = self.base.ops().index
-            self._project = tuple(rindex[e[0]] for e in self.elements())
+            pn = self.fiber.order
+            self._project = tuple(i // pn for i in range(self.order))
         return self._project
 
     def include_table(self):
-        """Fiber element index -> element index.  Built once."""
-        if self._include is None:
-            index = self.ops().index
-            zero = self.base.zero()
-            self._include = tuple(index[(zero, p)] for p in self.fiber.elements())
+        """Fiber element index -> element index: (0, p) has index p."""
         return self._include
 
     def key(self):

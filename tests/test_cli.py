@@ -102,7 +102,15 @@ def test_extpan_rejects_invalid_cocycle_file(tmp_path):
 
 def test_extpan_rejects_misshapen_cocycle_file(tmp_path):
     good = {"source": [2], "target": [2], "table": [[[0], [0]], [[0], [1]]]}
-    for flag, key, value in (("--e", "source", 2), ("--f", "table", 7), ("--e", "table", [5, 6])):
+    for flag, key, value in (
+        ("--e", "source", 2),
+        ("--f", "table", 7),
+        ("--e", "table", [5, 6]),
+        # Booleans and floats equal integers in Python; JSON input keeps them apart.
+        ("--e", "table", [[[0], [0]], [[0], [True]]]),
+        ("--f", "table", [[[0], [0]], [[0], [1.0]]]),
+        ("--e", "source", [2.0]),
+    ):
         path = write(tmp_path, "bad.json", dict(good, **{key: value}))
         result = run_cli("extpan", "--p", "2", "--q", "2", "--r", "2", flag, path)
         assert result.returncode == 1

@@ -64,8 +64,12 @@ def test_group_arithmetic_axioms():
             for b in elems:
                 assert g.add(a, b) == g.add(b, a)
         ops = g.ops()
-        assert ops.elems[0] == zero
+        assert ops.elems == elems and ops.elems[0] == zero
         assert len(elems) == g.order
+        # The index tables against the tuple arithmetic, entry by entry.
+        for i, a in enumerate(elems):
+            assert elems[ops.neg[i]] == g.neg(a)
+            assert [elems[k] for k in ops.add[i]] == [g.add(a, b) for b in elems]
 
 
 def test_parse_group_spec():

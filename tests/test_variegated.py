@@ -45,7 +45,52 @@ def nonsplit(q, r):
     raise AssertionError("no nonsplit class available")
 
 
+def _pair_add(g, a, b):
+    """Addition of a twisted group written out on element tuples:
+    (r1, p1) + (r2, p2) = (r1 + r2, p1 + p2 + f(r1, r2)), recursively for a
+    twisted fiber."""
+    if isinstance(g, FinAbGroup):
+        return g.add(a, b)
+    rindex = g.base.ops().index
+    twist = g.fiber.elements()[g.table[rindex[a[0]]][rindex[b[0]]]]
+    return (g.base.add(a[0], b[0]), _pair_add(g.fiber, _pair_add(g.fiber, a[1], b[1]), twist))
+
+
+def _pair_neg(g, a):
+    """-(r, p) = (-r, -(p + f(r, -r))) on element tuples."""
+    if isinstance(g, FinAbGroup):
+        return g.neg(a)
+    rindex = g.base.ops().index
+    nr = g.base.neg(a[0])
+    twist = g.fiber.elements()[g.table[rindex[a[0]]][rindex[nr]]]
+    return (nr, _pair_neg(g.fiber, _pair_add(g.fiber, a[1], twist)))
+
+
+def _check_pair_tables(g):
+    """ops(), project_table() and include_table() of a twisted group against
+    the pair formula and the tuple definitions of projection and inclusion."""
+    elems = g.elements()
+    ops = g.ops()
+    assert ops.elems == elems
+    for i, a in enumerate(elems):
+        assert elems[ops.neg[i]] == _pair_neg(g, a)
+        assert [elems[k] for k in ops.add[i]] == [_pair_add(g, a, b) for b in elems]
+    rindex = g.base.ops().index
+    assert g.project_table() == tuple(rindex[e[0]] for e in elems)
+    zero = g.base.zero()
+    assert tuple(g.include_table()) == tuple(ops.index[(zero, p)] for p in g.fiber.elements())
+
+
 def test_twisted_middle_group_structure():
+    for r, p in product(SMALL, SMALL):
+        for f in _ext1_classes_unchecked(r, p):
+            _check_pair_tables(twisted_middle(f))
+    # Nested: the total group of a variegated class is twisted over a
+    # twisted fiber (Z/8 over Z/2's; Z/4 + Z/2 from a split F).
+    for f in (nonsplit(Z2, Z2), split_class(Z2, Z2)):
+        for wv in extpan_fiber(nonsplit(Z2, Z2), f):
+            _check_pair_tables(wv.total_group())
+
     f = nonsplit(Z2, Z2)  # middle group must be Z/4
     middle = twisted_middle(f)
     assert middle.order == 4
