@@ -1,19 +1,17 @@
 """Search kernels behind the brute-force oracles of ``extpan.bruteforce``.
 
-Each problem is encoded once as flat integer lists, then solved by an
-iterative depth-first search over those lists.
+Both searches read the dense index tables of ``GroupOps`` as they are:
+``add[x][y]`` and ``neg[x]`` over 0-based indices, 0 being the zero element.
 
-Encodings
----------
 Coboundary search: find ``h`` with ``h[0] = 0`` and, for all nonzero a, b,
-``h[a] + h[b] - h[a+b] == diff(a, b)`` in an index-encoded target group.
-The constraint list stores triples ``(a, b, ab)`` grouped by the level
-``max(a, b, ab)``, so depth-first search over ``h[1..]`` can check every
-constraint the moment its last slot is assigned.
+``h[a] + h[b] - h[a+b] == diff[a][b]`` in the target group.  The constraints
+``(a, b, ab)`` are grouped by the level ``max(a, b, ab)``, so depth-first
+search over ``h[1..]`` can check every constraint the moment its last slot
+is assigned.
 
-Cocycle counting: the unknowns are the strict upper-triangle-with-diagonal
-entries f(a, b), 1 <= a <= b, of a normalized symmetric table with values in
-Z/n.  The cocycle identity over all element triples yields homogeneous linear
+Cocycle counting: the unknowns are the upper-triangle-with-diagonal entries
+f(a, b), 1 <= a <= b, of a normalized symmetric table with values in Z/n.
+The cocycle identity over all element triples yields homogeneous linear
 constraints; each is attached to its largest unknown.  Where a constraint has
 a unit coefficient on its largest unknown the value is forced, so branching
 happens only on genuinely free entries.
@@ -22,48 +20,33 @@ happens only on genuinely free entries.
 from math import gcd
 
 
-def coboundary_constraints(q_add, q_size):
-    """Constraint triples (a, b, ab) for delta-h equations, grouped by level.
-
-    Returns (cons, offsets): cons is a flat list of triples; constraints for
-    level L occupy cons[3*offsets[L] : 3*offsets[L+1]].
-    """
+def coboundary_constraints(q_add):
+    """For each level L, the triples (a, b, ab) with 1 <= a <= b and
+    max(a, b, ab) == L."""
+    q_size = len(q_add)
     by_level = [[] for _ in range(q_size)]
     for a in range(1, q_size):
         for b in range(a, q_size):
-            ab = q_add[a * q_size + b]
-            level = max(a, b, ab)
-            by_level[level].append((a, b, ab))
-    cons = []
-    offsets = [0]
-    for level in range(q_size):
-        for triple in by_level[level]:
-            cons.extend(triple)
-        offsets.append(len(cons) // 3)
-    return cons, offsets
+            ab = q_add[a][b]
+            by_level[max(a, b, ab)].append((a, b, ab))
+    return by_level
 
 
-def _pair_index(q_size):
-    """Map (a, b) with 1 <= a <= b < q_size to a dense unknown index."""
-    index = {}
-    for a in range(1, q_size):
-        for b in range(a, q_size):
-            index[(a, b)] = len(index)
-    return index
-
-
-def cocycle_system(q_add, q_size, n):
+def cocycle_system(q_add, n):
     """Leveled constraint system for normalized symmetric Z/n cocycle tables.
 
-    Returns a dict of flat integer lists:
-      nunk            number of unknowns
-      kinds[L]        1 if unknown L is forced by a solver constraint
-      sol_inv[L]      modular inverse used by the solver at level L
-      sol_toff, sol_terms   solver right-hand-side terms (idx, coeff pairs)
-      chk_coff, chk_toff, chk_terms   leveled check constraints
+    Returns one ``(solver, checks)`` pair per unknown f(a, b), 1 <= a <= b,
+    in that order.  ``solver`` is None for a free unknown, or ``(inv, terms)``
+    when the first constraint with a unit lead coefficient forces it to
+    ``inv * sum(coeff * value[idx] for idx, coeff in terms) mod n``.
+    ``checks`` holds the other constraints whose largest unknown it is, each
+    a tuple of ``(idx, coeff)`` that must sum to 0 mod n.
     """
-    pidx = _pair_index(q_size)
-    nunk = len(pidx)
+    q_size = len(q_add)
+    pidx = {}
+    for a in range(1, q_size):
+        for b in range(a, q_size):
+            pidx[(a, b)] = len(pidx)
 
     def term(x, y):
         if x == 0 or y == 0:
@@ -71,12 +54,12 @@ def cocycle_system(q_add, q_size, n):
         return pidx[(x, y) if x <= y else (y, x)]
 
     seen = set()
-    constraints = []  # (level, ((idx, coeff), ...))
+    by_level = [[] for _ in pidx]
     for a in range(1, q_size):
         for b in range(1, q_size):
-            ab = q_add[a * q_size + b]
+            ab = q_add[a][b]
             for c in range(1, q_size):
-                bc = q_add[b * q_size + c]
+                bc = q_add[b][c]
                 coeffs = {}
                 for idx, sign in (
                     (term(a, b), 1),
@@ -96,159 +79,86 @@ def cocycle_system(q_add, q_size, n):
                 if key in seen:
                     continue
                 seen.add(key)
-                constraints.append((max(idx for idx, _ in items), items))
+                # Sorted by index, so the last term is the largest unknown.
+                by_level[items[-1][0]].append(items)
 
-    by_level = [[] for _ in range(nunk)]
-    for level, items in constraints:
-        by_level[level].append(items)
-
-    kinds = [0] * nunk
-    sol_inv = [0] * nunk
-    sol_toff = [0]
-    sol_terms = []
-    chk_coff = [0]
-    chk_toff = [0]
-    chk_terms = []
-    for level in range(nunk):
-        solver = None
-        for items in by_level[level]:
-            lead = [c for idx, c in items if idx == level]
-            if len(lead) == 1 and gcd(lead[0], n) == 1:
-                solver = items
-                break
+    system = []
+    for constraints in by_level:
+        solver = next((items for items in constraints if gcd(items[-1][1], n) == 1), None)
+        checks = tuple(items for items in constraints if items is not solver)
         if solver is not None:
-            kinds[level] = 1
-            lead = next(c for idx, c in solver if idx == level)
-            sol_inv[level] = (-pow(lead, -1, n)) % n
-            for idx, coeff in solver:
-                if idx != level:
-                    sol_terms.extend((idx, coeff))
-        sol_toff.append(len(sol_terms) // 2)
-        for items in by_level[level]:
-            if items is solver:
-                continue
-            for idx, coeff in items:
-                chk_terms.extend((idx, coeff))
-            chk_toff.append(len(chk_terms) // 2)
-        chk_coff.append(len(chk_toff) - 1)
-
-    return {
-        "nunk": nunk,
-        "kinds": kinds,
-        "sol_inv": sol_inv,
-        "sol_toff": sol_toff,
-        "sol_terms": sol_terms,
-        "chk_coff": chk_coff,
-        "chk_toff": chk_toff,
-        "chk_terms": chk_terms,
-    }
+            solver = ((-pow(solver[-1][1], -1, n)) % n, solver[:-1])
+        system.append((solver, checks))
+    return system
 
 
-def search_coboundary(q_size, t_size, t_add, t_neg, diff, cons, offsets):
+def search_coboundary(t_add, t_neg, diff, levels):
     """First h (list of target indices, h[0] = 0) with delta-h == diff, or None.
 
-    Depth-first over h[1..q_size-1]; a constraint (a, b, ab) at level L has
-    all slots assigned once h[L] is, and reads
-    ``h[a] + h[b] - h[ab] == diff[a*q_size + b]`` in the index-encoded group.
-    Candidates are tried in increasing index order, so the result is the
-    lexicographically least witness.
+    Depth-first over h[1..]; a constraint (a, b, ab) in ``levels[L]`` has all
+    slots assigned once h[L] is, and reads ``h[a] + h[b] - h[ab] ==
+    diff[a][b]``.  Candidates are tried in increasing index order, so the
+    result is the lexicographically least witness.
     """
+    q_size = len(levels)
     if q_size == 1:
         return [0]
+    t_size = len(t_add)
     h = [0] * q_size
     level = 1
     h[level] = -1
     while level >= 1:
         h[level] += 1
-        if h[level] >= t_size:
+        if h[level] == t_size:
             level -= 1
             continue
-        ok = True
-        for c in range(offsets[level], offsets[level + 1]):
-            a = cons[3 * c]
-            b = cons[3 * c + 1]
-            ab = cons[3 * c + 2]
-            if t_add[t_add[h[a] * t_size + h[b]] * t_size + t_neg[h[ab]]] != diff[a * q_size + b]:
-                ok = False
+        for a, b, ab in levels[level]:
+            if t_add[t_add[h[a]][h[b]]][t_neg[h[ab]]] != diff[a][b]:
                 break
-        if not ok:
-            continue
-        if level == q_size - 1:
-            return h
-        level += 1
-        h[level] = -1
+        else:
+            if level == q_size - 1:
+                return h
+            level += 1
+            h[level] = -1
     return None
 
 
 def count_cocycles(n, system, collect=False):
     """Count (or list) solutions of the leveled constraint system mod n.
 
-    With ``collect`` the full value tuples are returned instead of a count;
-    only use that at small scales.
+    Free unknowns take the values 0..n-1 in turn, so ``collect`` lists the
+    value tuples in lexicographic order; only use it at small scales.
     """
-    nunk = system["nunk"]
-    if nunk == 0:
-        return [()] if collect else 1
-    kinds = system["kinds"]
-    sol_inv = system["sol_inv"]
-    sol_toff = system["sol_toff"]
-    sol_terms = system["sol_terms"]
-    chk_coff = system["chk_coff"]
-    chk_toff = system["chk_toff"]
-    chk_terms = system["chk_terms"]
-
+    nunk = len(system)
     values = [0] * nunk
-    found = [] if collect else 0
-    count = 0
-    level = 0
-    values[0] = -1
-    descend_fresh = kinds[0] == 1
-    # Iterative backtracking; at a solved level the value is computed once
-    # (flagged by descend_fresh) and the level behaves as branch-of-one.
-    while level >= 0:
-        if kinds[level]:
-            if not descend_fresh:
-                # Exhausted the single forced candidate; backtrack.
-                level -= 1
-                descend_fresh = False
-                continue
-            acc = 0
-            for t in range(sol_toff[level], sol_toff[level + 1]):
-                acc += sol_terms[2 * t + 1] * values[sol_terms[2 * t]]
-            values[level] = (acc * sol_inv[level]) % n
-            descend_fresh = False
-        else:
-            if descend_fresh:
-                values[level] = 0
-                descend_fresh = False
-            else:
-                values[level] += 1
-            if values[level] >= n:
-                level -= 1
-                descend_fresh = False
-                continue
-        ok = True
-        for c in range(chk_coff[level], chk_coff[level + 1]):
-            acc = 0
-            for t in range(chk_toff[c], chk_toff[c + 1]):
-                acc += chk_terms[2 * t + 1] * values[chk_terms[2 * t]]
-            if acc % n:
-                ok = False
-                break
-        if not ok:
-            if kinds[level]:
-                level -= 1
-                descend_fresh = False
-            continue
-        if level == nunk - 1:
+    found = []
+
+    def walk(level):
+        if level == nunk:
             if collect:
                 found.append(tuple(values))
+            return 1
+        solver, checks = system[level]
+        if solver is None:
+            candidates = range(n)
+        else:
+            inv, terms = solver
+            acc = 0
+            for idx, coeff in terms:
+                acc += coeff * values[idx]
+            candidates = (acc * inv % n,)
+        total = 0
+        for value in candidates:
+            values[level] = value
+            for items in checks:
+                acc = 0
+                for idx, coeff in items:
+                    acc += coeff * values[idx]
+                if acc % n:
+                    break
             else:
-                count += 1
-            if kinds[level]:
-                level -= 1
-                descend_fresh = False
-            continue
-        level += 1
-        descend_fresh = True
-    return found if collect else count
+                total += walk(level + 1)
+        return total
+
+    total = walk(0)
+    return found if collect else total

@@ -5,8 +5,9 @@ in ``cocycles`` and ``variegated`` can be checked against them: exhaustive
 coboundary-witness search, direct enumeration of all normalized symmetric
 cocycle tables (searched, not constructed from representatives), closure of
 the coboundary subgroup from its generators, and an exact-linear-algebra
-count of cocycles via Smith normal form.  The search loops are the hot
-kernels of the package and live in ``monopair._kernels``.
+count of cocycles via Smith normal form.  The two backtracking searches live
+in ``monopair._kernels`` and read the group tables of ``GroupOps`` as they
+are.
 """
 
 from itertools import product
@@ -17,38 +18,20 @@ from .cocycles import Cocycle, _ext1_classes_unchecked, class_of
 from .variegated import _difference_table, _projected, twisted_middle
 
 
-def _flat_add(ops):
-    return [v for row in ops.add for v in row]
-
-
-def _search_setup(ops):
-    """Flattened addition table, negation list and coboundary constraints of
-    a group, built by the first search over it and kept on its ops."""
-    if ops.search_setup is None:
-        flat_add = _flat_add(ops)
-        cons = _kernels.coboundary_constraints(flat_add, ops.n)
-        ops.search_setup = (flat_add, list(ops.neg), cons)
-    return ops.search_setup
-
-
 def search_coboundary_witness(diff):
     """Exhaustive search for h with delta-h == diff; oracle twin of the
     constructive witness.  Returns the lexicographically least h or None."""
     qops = diff.source.ops()
     tops = diff.target.ops()
-    cons, offsets = _search_setup(qops)[2]
-    t_add, t_neg, _ = _search_setup(tops)
-    flat_diff = [v for row in diff.matrix for v in row]
-    return _kernels.search_coboundary(
-        qops.n, tops.n, t_add, t_neg, flat_diff, cons, offsets
-    )
+    if qops.search_setup is None:
+        qops.search_setup = _kernels.coboundary_constraints(qops.add)
+    return _kernels.search_coboundary(tops.add, tops.neg, diff.matrix, qops.search_setup)
 
 
 def count_cocycles_mod(source, n, collect=False):
     """Number (or list) of normalized symmetric Z/n-cocycle tables on source,
     found by leveled backtracking over table entries."""
-    qops = source.ops()
-    system = _kernels.cocycle_system(_flat_add(qops), qops.n, n)
+    system = _kernels.cocycle_system(source.ops().add, n)
     return _kernels.count_cocycles(n, system, collect=collect)
 
 

@@ -45,7 +45,8 @@ class GroupOps:
         self.neg = neg
         self._coset_reps = {}
         self._multiples = {}
-        # Tables of the brute-force coboundary search, built by ``bruteforce``.
+        # Coboundary constraints grouped by level, built by the first
+        # brute-force witness search over this group as its source.
         self.search_setup = None
 
     def sub(self, i, j):

@@ -207,7 +207,7 @@ def pairing_matrix_to_dict(pm):
     return {
         "h": pm.h,
         "base_rank": pm.base_rank,
-        "entries": [[list(v.coords) for v in row] for row in pm.entries],
+        "entries": [[list(v) for v in zip(*rows)] for rows in zip(*pm.coords)],
     }
 
 

@@ -21,7 +21,24 @@ def random_curve(
     base_rank=1,
     max_genus=0,
 ):
-    """Random connected multigraph curve (self-loops and parallels allowed)."""
+    """Random connected multigraph curve (self-loops and parallels allowed).
+
+    Arguments that cannot give a valid curve raise ValueError before any draw.
+    """
+    if max_vertices < 1:
+        raise ValueError("max_vertices must be at least 1, got %r" % (max_vertices,))
+    if max_edges < max_vertices - 1:
+        raise ValueError(
+            "max_edges must be at least max_vertices - 1 = %d, got %r"
+            % (max_vertices - 1, max_edges)
+        )
+    if not 1 <= length_range[0] <= length_range[1]:
+        raise ValueError("length_range must be (low, high) with 1 <= low <= high, got %r"
+                         % (length_range,))
+    if base_rank < 1:
+        raise ValueError("base_rank must be at least 1, got %r" % (base_rank,))
+    if max_genus < 0:
+        raise ValueError("max_genus must be at least 0, got %r" % (max_genus,))
     nv = rng.randint(1, max_vertices)
     names = _ids("v", nv)
     vertices = [(v, rng.randint(0, max_genus) if max_genus else 0) for v in names]

@@ -111,6 +111,25 @@ def test_random_curve_ids_sort_in_creation_order():
     assert max(sizes) > 100 and min(sizes) < 100
 
 
+def test_random_curve_rejects_bad_arguments_before_drawing():
+    for kwargs, name in [
+        ({"max_vertices": 0}, "max_vertices"),
+        ({"max_vertices": 20, "max_edges": 8}, "max_edges"),
+        ({"length_range": (0, 5)}, "length_range"),
+        ({"length_range": (3, 2)}, "length_range"),
+        ({"base_rank": 0}, "base_rank"),
+        ({"max_genus": -1}, "max_genus"),
+    ]:
+        rng = random.Random(5)
+        state = rng.getstate()
+        with pytest.raises(ValueError, match=name):
+            random_curve(rng, **kwargs)
+        assert rng.getstate() == state
+    # A spanning tree alone is enough edges.
+    tree = random_curve(random.Random(5), max_vertices=6, max_edges=5)
+    assert validate(tree) == [] and len(tree.edges) <= 5
+
+
 def test_betti_examples():
     assert betti_number(loop_curve()) == 1
     assert betti_number(theta_curve()) == 2

@@ -1,8 +1,10 @@
 """The search kernels against planted witnesses and exact linear algebra."""
 
 import random
+from itertools import product
 
 from monopair.extpan.bruteforce import (
+    all_cocycle_tables_literal,
     count_cocycles_linalg,
     count_cocycles_mod,
     search_coboundary_witness,
@@ -33,6 +35,14 @@ def test_search_finds_planted_witnesses():
             found = search_coboundary_witness(diff)
             assert found is not None
             assert coboundary_of(q, t, found).matrix == diff.matrix
+            if tops.n ** (q.order - 1) <= 512:
+                # The search returns the least witness in plain enumeration order.
+                least = next(
+                    [0, *tail]
+                    for tail in product(range(tops.n), repeat=q.order - 1)
+                    if coboundary_of(q, t, [0, *tail]).matrix == diff.matrix
+                )
+                assert found == least
 
 
 def test_search_rejects_noncoboundaries():
@@ -56,25 +66,27 @@ def test_count_matches_linear_algebra():
 
 
 def test_collect_mode_lists_all_solutions():
-    q = FinAbGroup((4,))
-    tables = count_cocycles_mod(q, 2, collect=True)
-    assert len(tables) == count_cocycles_mod(q, 2)
-    assert len(set(tables)) == len(tables)
-    # Each collected assignment reproduces a valid table: check via the
-    # normalized symmetric reconstruction and the cocycle validator.
-    pairs = [(a, b) for a in range(1, q.order) for b in range(a, q.order)]
-    from monopair.extpan.cocycles import Cocycle
-
-    for values in tables:
-        lookup = dict(zip(pairs, values))
-        matrix = tuple(
-            tuple(
-                0 if a == 0 or b == 0 else lookup[(a, b) if a <= b else (b, a)]
-                for b in range(q.order)
-            )
-            for a in range(q.order)
-        )
-        Cocycle(q, FinAbGroup((2,)), matrix)  # validates on construction
+    # Collected value tuples, as tables, are the literal oracle's tables in
+    # the same (lexicographic) order.
+    for factors, n in [
+        ((4,), 2), ((2,), 3), ((3,), 3), ((2, 2), 2), ((2, 2), 3), ((4,), 3), ((5,), 2)
+    ]:
+        q = FinAbGroup(factors)
+        tables = count_cocycles_mod(q, n, collect=True)
+        assert len(tables) == count_cocycles_mod(q, n)
+        pairs = [(a, b) for a in range(1, q.order) for b in range(a, q.order)]
+        matrices = []
+        for values in tables:
+            lookup = dict(zip(pairs, values))
+            matrices.append(tuple(
+                tuple(
+                    0 if a == 0 or b == 0 else lookup[(a, b) if a <= b else (b, a)]
+                    for b in range(q.order)
+                )
+                for a in range(q.order)
+            ))
+        literal = all_cocycle_tables_literal(q, FinAbGroup((n,)))
+        assert matrices == [table.matrix for table in literal]
 
 
 def test_trivial_source_edge_cases():

@@ -349,6 +349,15 @@ def test_json_shapes():
     assert blob["entries"][0][0] == [1, 1, 0]
     spec = specialize(pm, [1, 1, 1])
     assert int_matrix_to_dict(spec) == {"h": 2, "entries": [[2, 1], [1, 2]]}
+    rng = random.Random(29)
+    for _ in range(20):
+        curve = random_curve(rng, base_rank=rng.randint(1, 3))
+        pm = pairing_matrix(curve, cycle_basis(curve))
+        assert pairing_matrix_to_dict(pm) == {
+            "h": pm.h,
+            "base_rank": curve.base_rank,
+            "entries": [[list(v.coords) for v in row] for row in pm.entries],
+        }
 
 
 def test_disconnected_pairing_is_block_diagonal():
