@@ -30,6 +30,7 @@ from .pairing import (
     IntSymMatrix,
     PairingMatrix,
     component_group,
+    curve_component_group,
     edge_pairing,
     is_positive_definite,
     pairing_matrix,

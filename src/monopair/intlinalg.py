@@ -66,15 +66,7 @@ def _smith_mod(mat, m, r=None):
     must be all m, and its first r entries must multiply to a divisor of m.
     """
     orders = _cyclic_orders_mod(mat, m, order=r is None)
-    chain = sorted(orders)
-    for i, x in enumerate(chain):
-        for j in range(i + 1, len(chain)):
-            y = chain[j]
-            if y % x:
-                g = gcd(x, y)
-                chain[j] = x // g * y
-                x = g
-        chain[i] = x
+    chain = invariant_chain(orders)
     if r is None:
         if prod(orders) != m:
             raise ArithmeticError(
@@ -86,6 +78,22 @@ def _smith_mod(mat, m, r=None):
             "Smith form mod %d at rank %d: the chain %s does not fit" % (m, r, chain)
         )
     return chain[:r]
+
+
+def invariant_chain(orders):
+    """The chain d1 | d2 | ... of a direct sum of cyclic groups of the given
+    positive orders, one entry per order: pairwise gcd/lcm steps keep the
+    group and leave each entry dividing the next."""
+    chain = sorted(orders)
+    for i, x in enumerate(chain):
+        for j in range(i + 1, len(chain)):
+            y = chain[j]
+            if y % x:
+                g = gcd(x, y)
+                chain[j] = x // g * y
+                x = g
+        chain[i] = x
+    return chain
 
 
 def _xgcd(a, b):

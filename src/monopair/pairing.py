@@ -17,17 +17,30 @@ elimination.  Any other matrix (hand-built, reduced mod n, moved by a
 unimodular change of basis) is tested by exact Sylvester minors and its
 exact determinant.  The component group needs no such test: its Smith form
 has fewer than h divisors exactly when the matrix is degenerate.
+
+The component group of a curve has a second route that builds no cycle
+basis and no Gram matrix (``curve_component_group``).  By Raynaud it is the
+critical group of the dual graph with every edge cut into l_e unit edges,
+so its order comes from Kirchhoff's theorem on the vertex Laplacian, and
+its p-parts from one small Laplacian per prime power.  ``component_group``
+on the Gram matrix is different mathematics, and is that route's oracle.
 """
 
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import repeat
+from math import gcd, lcm, prod
 from operator import add, mul
 
 from .errors import DegeneratePairingError
 from .graphs import MonoidVector, check_valid
-# ``det`` has no caller here; the benchmark tracer wraps ``pairing.det``.
-from .intlinalg import det, leading_minors_all_positive, smith_divisors
+from .intlinalg import (
+    _cyclic_orders_mod,
+    det,
+    invariant_chain,
+    leading_minors_all_positive,
+    smith_divisors,
+)
 
 
 def edge_pairing(c1, c2, curve):
@@ -153,14 +166,7 @@ def specialize(pm, weights):
     result is sum_k weights[k] * coords[k][i].  The result carries the basis
     of ``pm`` when ``pm`` came from ``pairing_matrix``.
     """
-    weights = [int(w) for w in weights]
-    if len(weights) != pm.base_rank:
-        raise ValueError(
-            "expected %d weights (one per base generator), got %d"
-            % (pm.base_rank, len(weights))
-        )
-    if any(w < 1 for w in weights):
-        raise ValueError("weights must all be >= 1")
+    weights = _checked_weights(weights, pm.base_rank)
     entries = []
     for rows in zip(*pm.coords):  # row i of every coordinate matrix
         total = repeat(0, pm.h)
@@ -170,6 +176,18 @@ def specialize(pm, weights):
     mat = IntSymMatrix(entries)
     object.__setattr__(mat, "basis", pm.basis)
     return mat
+
+
+def _checked_weights(weights, base_rank):
+    weights = [int(w) for w in weights]
+    if len(weights) != base_rank:
+        raise ValueError(
+            "expected %d weights (one per base generator), got %d"
+            % (base_rank, len(weights))
+        )
+    if any(w < 1 for w in weights):
+        raise ValueError("weights must all be >= 1")
+    return weights
 
 
 def is_positive_definite(mat):
@@ -194,6 +212,10 @@ def component_group(mat):
     a zero determinant, and DegeneratePairingError is raised.  For a
     nondegenerate matrix the Smith form works modulo D = |det|, the order of
     the group, so its entries stay residues mod D.
+
+    This is the route for any integer matrix.  For a curve,
+    ``curve_component_group`` gives the same list from the graph alone; this
+    dense route on the specialized Gram matrix is its oracle.
     """
     if not isinstance(mat, IntSymMatrix):
         mat = IntSymMatrix(tuple(tuple(row) for row in mat))
@@ -201,6 +223,177 @@ def component_group(mat):
     if len(divisors) < mat.h:
         raise DegeneratePairingError("degenerate pairing: determinant is zero")
     return [d for d in divisors if d > 1]
+
+
+def curve_component_group(curve, weights):
+    """Elementary divisors > 1 of the component group of a curve at weights.
+
+    The list equals ``component_group(specialize(pairing_matrix(curve,
+    cycle_basis(curve)), weights))``, but no cycle basis and no Gram matrix
+    is built.  By Raynaud (Publ. IHES 38, 1970) the group is the critical
+    group of the dual graph with every edge e cut into l_e = l_e(w) unit
+    edges.  With one root per component, it is presented by the potentials
+    phi_v of the n = |V| - c other vertices and one flow t_e per edge: a row
+    phi(dst) - phi(src) - l_e t_e per edge and a row sum_in t_e - sum_out t_e
+    per non-root vertex.
+
+    - Its order D = |det B| comes from Kirchhoff's theorem (``_kirchhoff``).
+    - The part D0 of D prime to every l_e: each flow is l_e^-1 times a
+      potential difference mod D0, so the n-square Laplacian with
+      conductances l_e^-1 mod D0 presents the D0-part.
+    - D / D0 is split into prime powers by trial division, with any
+      leftover cofactor taken as one more modulus.  Modulo each m, the flow
+      of an edge with gcd(l_e, m) = 1 drops out the same way; the other
+      edges keep their flow as a row and a column.
+
+    A part of prime order p is Z/p.  Every other presentation is eliminated
+    by ``intlinalg._cyclic_orders_mod`` over Z/m, whose orders must multiply
+    to m (``_local_chain``).  The parts are coprime, so their chains,
+    aligned at the top, multiply entry by entry to the chain of the whole
+    group; that product must be D, or ArithmeticError is raised.
+    """
+    n, ends, lengths = _reduced_graph(curve, weights)
+    d = _kirchhoff(n, ends, lengths)
+    d0 = d
+    for x in set(lengths):
+        g = gcd(d0, x)
+        while g > 1:
+            d0 //= g
+            g = gcd(d0, g)
+    parts = _prime_powers(d // d0)
+    if d0 > 1:
+        parts.append((d0, None))
+    chains = [[m] if m == p else _local_chain(n, ends, lengths, m) for m, p in parts]
+    chains = [[x for x in chain if x > 1] for chain in chains]
+    width = max(map(len, chains), default=0)
+    merged = [1] * width
+    for chain in chains:
+        for i, x in enumerate(chain, width - len(chain)):
+            merged[i] *= x
+    if prod(merged) != d:
+        raise ArithmeticError(
+            "component group of order %d: the local chains multiply to %d"
+            % (d, prod(merged))
+        )
+    return merged
+
+
+def _reduced_graph(curve, weights):
+    """``(n, ends, lengths)`` of a valid curve at valid weights.
+
+    One vertex per connected component is a root, None; the other n are
+    numbered 0..n-1.  ``ends`` holds the (src, dst) numbers of each edge and
+    ``lengths`` its specialized length.
+    """
+    check_valid(curve)
+    weights = _checked_weights(weights, curve.base_rank)
+    parent = {v: v for v in curve.vertex_ids}
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for edge in curve.edges:
+        parent[find(edge.src)] = find(edge.dst)
+    number = {}
+    for v in curve.vertex_ids:
+        if find(v) != v:
+            number[v] = len(number)
+    ends = [(number.get(e.src), number.get(e.dst)) for e in curve.edges]
+    lengths = [e.length.evaluate(weights) for e in curve.edges]
+    return len(number), ends, lengths
+
+
+def _laplacian(n, ends, conductances):
+    """n x n Laplacian of the non-root vertices; self-loops do not enter."""
+    lap = [[0] * n for _ in range(n)]
+    for (u, v), c in zip(ends, conductances):
+        if u == v:
+            continue
+        if u is not None:
+            lap[u][u] += c
+        if v is not None:
+            lap[v][v] += c
+            if u is not None:
+                lap[u][v] -= c
+                lap[v][u] -= c
+    return lap
+
+
+def _kirchhoff(n, ends, lengths):
+    """D = |det B| = sum over spanning forests T of prod_{e not in T} l_e.
+
+    By the matrix-tree theorem that is prod_e l_e * det L(1/l) for the
+    reduced Laplacian L with conductances 1/l_e; every forest has n edges.
+    Scaled to integers by M = lcm(l), it is prod_e l_e * det L(M/l) / M^n,
+    one exact determinant and a division that must leave no remainder.  A
+    self-loop is in no forest, so it enters the product only.
+    """
+    top = lcm(*lengths)
+    scaled = prod(lengths) * det(_laplacian(n, ends, [top // x for x in lengths]))
+    d, rest = divmod(scaled, top ** n)
+    if rest or d < 1:
+        raise ArithmeticError(
+            "Kirchhoff determinant %d is not a positive multiple of %d^%d" % (scaled, top, n)
+        )
+    return d
+
+
+def _prime_powers(n):
+    """Coprime factors of n as pairs (p^k, p): the prime powers for p below
+    1000, then the cofactor, if it is not 1, as (cofactor, p) when it is a
+    prime p and (cofactor, None) when that is not known."""
+    parts = []
+    p = 2
+    while n > 1 and p < 1000:
+        if p * p > n:
+            return parts + [(n, n)]
+        if n % p == 0:
+            q = 1
+            while n % p == 0:
+                n //= p
+                q *= p
+            parts.append((q, p))
+        p += 1 if p == 2 else 2
+    if n > 1:
+        parts.append((n, None))
+    return parts
+
+
+def _local_chain(n, ends, lengths, m):
+    """Chain of the m-part of the component group, for m coprime to D / m.
+
+    The presentation over Z/m: the Laplacian with conductances l_e^-1 mod m
+    for the edges with gcd(l_e, m) = 1, and for each other edge its flow,
+    as a column (+1 at dst, -1 at src) and as the row
+    phi(dst) - phi(src) - l_e t_e.
+    """
+    inverse = {x: pow(x, -1, m) for x in set(lengths) if gcd(x, m) == 1}
+    kept = [k for k, x in enumerate(lengths) if x not in inverse]
+    conductances = [inverse.get(x, 0) for x in lengths]
+    mat = _laplacian(n, ends, conductances)
+    size = n + len(kept)
+    for row in mat:
+        row.extend([0] * len(kept))
+    for j, k in enumerate(kept, n):
+        u, v = ends[k]
+        row = [0] * size
+        row[j] = -lengths[k]
+        if u is not None:
+            row[u] -= 1
+            mat[u][j] -= 1
+        if v is not None:
+            row[v] += 1
+            mat[v][j] += 1
+        mat.append(row)
+    orders = _cyclic_orders_mod(mat, m, order=True)
+    if prod(orders) != m:
+        raise ArithmeticError(
+            "component group mod %d: the cyclic orders multiply to %d" % (m, prod(orders))
+        )
+    return invariant_chain(orders)
 
 
 def pairing_matrix_to_dict(pm):

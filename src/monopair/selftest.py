@@ -22,6 +22,7 @@ from .intlinalg import (
 from .pairing import (
     IntSymMatrix,
     component_group,
+    curve_component_group,
     is_positive_definite,
     pairing_matrix,
     specialize,
@@ -137,6 +138,9 @@ def check_basis_invariance(seed, count):
         _, spec = _specialized(curve)
         base_pd = is_positive_definite(spec)
         base_cg = component_group(spec)
+        # The route from the curve, with no Gram matrix, must agree.
+        if curve_component_group(curve, [1] * curve.base_rank) != base_cg:
+            return cases, False
         for _ in range(3):
             u = random_unimodular(rng, spec.h)
             rows = mat_mul(mat_mul(u, spec.rows()), transpose(u))

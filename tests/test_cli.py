@@ -259,6 +259,42 @@ def test_weights_validation(tmp_path):
     assert run_cli("specialize", loop, "--weights", "x").returncode == 2
 
 
+def test_weight_count_checked_before_the_gram_matrix(tmp_path, capsys, monkeypatch):
+    """A huge base rank with too few weights exits 2 at once: the weights
+    are resolved after validation and before any cycle basis or pairing
+    matrix.  An invalid curve still exits 1 first."""
+    from monopair import cli
+
+    def refuse(*args):
+        raise AssertionError("the Gram matrix was built")
+
+    monkeypatch.setattr(cli, "cycle_basis", refuse)
+    monkeypatch.setattr(cli, "pairing_matrix", refuse)
+    huge = write(tmp_path, "huge.json", {
+        "base_rank": 1000000, "vertices": [{"id": "v", "genus": 1}], "edges": []})
+    message = "flag error: --weights needs one entry per base generator (1000000), got 1\n"
+    for command in ("specialize", "pl", "compgroup"):
+        assert run_in_process(capsys, command, huge, "--weights", "1") == (2, "", message)
+    bad = dict(LOOP, edges=[{"id": "e0", "src": "v0", "dst": "w", "length": [1]}])
+    invalid = write(tmp_path, "invalid.json", bad)
+    for command in ("specialize", "pl", "compgroup"):
+        code, out, err = run_in_process(capsys, command, invalid, "--weights", "1,2")
+        assert (code, out) == (1, "") and "'w' is not a declared vertex" in err
+
+
+def test_compgroup_builds_no_gram_matrix(tmp_path, capsys, monkeypatch):
+    from monopair import graphs, pairing
+
+    def refuse(self):
+        raise AssertionError("%s was built" % type(self).__name__)
+
+    for cls in (graphs.CycleBasis, pairing.PairingMatrix, pairing.IntSymMatrix):
+        monkeypatch.setattr(cls, "__post_init__", refuse)
+    theta = write(tmp_path, "theta.json", THETA)
+    assert run_in_process(capsys, "compgroup", theta, "--weights", "1,2,3") == (
+        0, '{\n  "divisors": [\n    11\n  ]\n}\n', "")
+
+
 def run_in_process(capsys, *args):
     try:
         code = main(list(args))

@@ -1,13 +1,15 @@
 """The component group against two independent oracles.
 
-The ``compgroup`` route is the Smith form of the specialized Gram matrix
-modulo its determinant.  It is checked against the classical Smith loop over
-the integers (``conftest.smith_unreduced``), and against Raynaud's
-description: the component group is the critical group of the dual graph
-with every edge cut into l_e(w) unit edges (a self-loop of length l becomes
-an l-cycle, which adds Z/l).  That critical group is computed here from the
-Laplacian, by unit pivots over the integers and a Smith loop modulo the
-residual determinant, with no code from ``monopair.intlinalg``.
+The matrix route, ``component_group``, is the Smith form of the specialized
+Gram matrix modulo its determinant.  It is checked against the classical
+Smith loop over the integers (``conftest.smith_unreduced``).  The
+``compgroup`` command takes the curve route, ``curve_component_group``, and
+is checked against Raynaud's description: the component group is the
+critical group of the dual graph with every edge cut into l_e(w) unit edges
+(a self-loop of length l becomes an l-cycle, which adds Z/l).  That critical
+group is computed here from the Laplacian of the subdivided graph, by unit
+pivots over the integers and a Smith loop modulo the residual determinant,
+with no code from ``monopair.intlinalg``.
 """
 
 import contextlib
