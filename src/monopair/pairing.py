@@ -232,10 +232,12 @@ def curve_component_group(curve, weights):
     cycle_basis(curve)), weights))``, but no cycle basis and no Gram matrix
     is built.  By Raynaud (Publ. IHES 38, 1970) the group is the critical
     group of the dual graph with every edge e cut into l_e = l_e(w) unit
-    edges.  With one root per component, it is presented by the potentials
-    phi_v of the n = |V| - c other vertices and one flow t_e per edge: a row
-    phi(dst) - phi(src) - l_e t_e per edge and a row sum_in t_e - sum_out t_e
-    per non-root vertex.
+    edges.  Trees hanging off the graph and vertices of degree 2 do not
+    change that group, so they are removed first (``_reduced_graph``) and
+    the work is bounded by h, not by |V|.  With one root per component, the
+    group is presented by the potentials phi_v of the n <= 2h other vertices
+    and one flow t_e per edge: a row phi(dst) - phi(src) - l_e t_e per edge
+    and a row sum_in t_e - sum_out t_e per non-root vertex.
 
     - Its order D = |det B| comes from Kirchhoff's theorem (``_kirchhoff``).
     - The part D0 of D prime to every l_e: each flow is l_e^-1 times a
@@ -262,8 +264,8 @@ def curve_component_group(curve, weights):
             g = gcd(d0, g)
     parts = _prime_powers(d // d0)
     if d0 > 1:
-        parts.append((d0, None))
-    chains = [[m] if m == p else _local_chain(n, ends, lengths, m) for m, p in parts]
+        parts.append((d0, False))
+    chains = [[m] if prime else _local_chain(n, ends, lengths, m) for m, prime in parts]
     chains = [[x for x in chain if x > 1] for chain in chains]
     width = max(map(len, chains), default=0)
     merged = [1] * width
@@ -281,13 +283,44 @@ def curve_component_group(curve, weights):
 def _reduced_graph(curve, weights):
     """``(n, ends, lengths)`` of a valid curve at valid weights.
 
-    One vertex per connected component is a root, None; the other n are
-    numbered 0..n-1.  ``ends`` holds the (src, dst) numbers of each edge and
+    Two moves that keep the group are made first, so that every non-root
+    vertex has degree 3 or more and n <= 2h: a leaf goes with its edge, a
+    bridge, and a vertex of degree 2 with no self-loop goes by joining its
+    two edges into one whose length is their sum.  One vertex per connected
+    component of what is left is a root, None; the other n are numbered
+    0..n-1.  ``ends`` holds the (src, dst) numbers of each edge and
     ``lengths`` its specialized length.
     """
     check_valid(curve)
     weights = _checked_weights(weights, curve.base_rank)
-    parent = {v: v for v in curve.vertex_ids}
+    edges = [[e.src, e.dst, e.length.evaluate(weights)] for e in curve.edges]
+    incident = {v: [] for v in curve.vertex_ids}
+    for k, (u, v, _) in enumerate(edges):
+        incident[u].append(k)
+        incident[v].append(k)
+    leaves = [v for v, ks in incident.items() if len(ks) == 1]
+    while leaves:
+        v = leaves.pop()
+        if len(incident[v]) != 1:  # its last edge went with a leaf neighbour
+            continue
+        k = incident[v].pop()
+        u, w, _ = edges[k]
+        other = w if u == v else u
+        incident[other].remove(k)
+        edges[k] = None
+        if len(incident[other]) == 1:
+            leaves.append(other)
+    for v, ks in list(incident.items()):
+        if len(ks) == 2 and ks[0] != ks[1]:
+            a, b = ks
+            (u, x, la), (w, y, lb) = edges[a], edges[b]
+            edges[a] = [x if u == v else u, y if w == v else w, la + lb]
+            edges[b] = None
+            far = incident[edges[a][1]]
+            far[far.index(b)] = a
+            del incident[v]
+    edges = [e for e in edges if e is not None]
+    parent = {v: v for v, ks in incident.items() if ks}
 
     def find(x):
         while parent[x] != x:
@@ -295,15 +328,14 @@ def _reduced_graph(curve, weights):
             x = parent[x]
         return x
 
-    for edge in curve.edges:
-        parent[find(edge.src)] = find(edge.dst)
+    for u, v, _ in edges:
+        parent[find(u)] = find(v)
     number = {}
-    for v in curve.vertex_ids:
+    for v in parent:
         if find(v) != v:
             number[v] = len(number)
-    ends = [(number.get(e.src), number.get(e.dst)) for e in curve.edges]
-    lengths = [e.length.evaluate(weights) for e in curve.edges]
-    return len(number), ends, lengths
+    ends = [(number.get(u), number.get(v)) for u, v, _ in edges]
+    return len(number), ends, [x for _, _, x in edges]
 
 
 def _laplacian(n, ends, conductances):
@@ -342,23 +374,23 @@ def _kirchhoff(n, ends, lengths):
 
 
 def _prime_powers(n):
-    """Coprime factors of n as pairs (p^k, p): the prime powers for p below
-    1000, then the cofactor, if it is not 1, as (cofactor, p) when it is a
-    prime p and (cofactor, None) when that is not known."""
+    """Coprime factors of n as pairs (m, prime): the prime powers for p
+    below 1000, then the cofactor, if it is not 1.  ``prime`` is True when
+    m is known to be a prime."""
     parts = []
     p = 2
     while n > 1 and p < 1000:
         if p * p > n:
-            return parts + [(n, n)]
+            return parts + [(n, True)]
         if n % p == 0:
             q = 1
             while n % p == 0:
                 n //= p
                 q *= p
-            parts.append((q, p))
+            parts.append((q, q == p))
         p += 1 if p == 2 else 2
     if n > 1:
-        parts.append((n, None))
+        parts.append((n, False))
     return parts
 
 

@@ -253,7 +253,8 @@ def test_cofactor_past_the_trial_division_bound():
                                 ("v", "w", (q,)), ("w", "v", (q * q,)), ("w", "w", (p * q,)),
                                 ("u", "w", (1,))])
     assert kirchhoff(curve, [1]) % (p * q) ** 2 == 0
-    assert pairing._prime_powers((p * q) ** 2) == [((p * q) ** 2, None)]
+    assert pairing._prime_powers((p * q) ** 2) == [((p * q) ** 2, False)]
+    assert pairing._prime_powers(8 * 3 * p) == [(8, False), (3, True), (p, True)]
     divisors = curve_component_group(curve, [1])
     assert divisors[:2] == [p * q, p * q] and divisors == dense_route(curve, [1])
     spec = specialize(pairing_matrix(curve, cycle_basis(curve)), [1])
@@ -360,3 +361,32 @@ def test_unions_and_bridges_merge_the_chains():
             edges.append((a, b, tuple(rng.randint(1, 9) for _ in range(base_rank))))
         bridged = curve_of(base_rank, names, edges)
         assert curve_component_group(bridged, weights) == expected
+
+
+def test_work_is_bounded_by_h_not_by_the_vertex_count():
+    # Long trees, chains of degree-2 vertices and cycles: the reduced graph
+    # keeps n <= 2h non-root vertices, and the group is the dense route's.
+    rng = random.Random(241)
+    for k in range(24):
+        base_rank = 1 + k % 3
+        h = rng.randint(0, 12)
+        curve = random_graph(rng, rng.randint(150, 300), h, base_rank, top=5)
+        if k % 3 == 1:
+            curve = with_tree(curve, rng, 40)
+        if k % 3 == 2:
+            for _ in range(30):
+                long = [j for j, e in enumerate(curve.edges) if sum(e.length.coords) >= 2]
+                curve = split_in_series(curve, rng.choice(long), rng)
+                curve = relabelled(curve, rng)
+        weights = [rng.randint(1, 3) for _ in range(base_rank)]
+        n, ends, lengths = pairing._reduced_graph(curve, weights)
+        assert n <= 2 * h and len(lengths) - n <= h
+        assert curve_component_group(curve, weights) == dense_route(curve, weights)
+    # A cycle of 200 unit edges is one loop of length 200; a path is nothing.
+    names = ["v%03d" % i for i in range(200)]
+    cycle = curve_of(1, names, [(names[i - 1], names[i], (1,)) for i in range(200)])
+    assert pairing._reduced_graph(cycle, [1]) == (0, [(None, None)], [200])
+    assert curve_component_group(cycle, [1]) == [200]
+    path = curve_of(1, names, [(names[i - 1], names[i], (1,)) for i in range(1, 200)])
+    assert pairing._reduced_graph(path, [1]) == (0, [], [])
+    assert curve_component_group(path, [1]) == []
