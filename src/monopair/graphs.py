@@ -12,7 +12,7 @@ from functools import cached_property
 from itertools import compress
 
 from .errors import InputFormatError, InvalidCurveError
-from .intlinalg import smith_divisors
+from .intlinalg import int_row, int_rows, smith_divisors
 
 
 @dataclass(frozen=True)
@@ -21,12 +21,14 @@ class MonoidVector:
 
     Edge lengths are the subset with all coordinates >= 0 and at least one
     coordinate > 0; general pairing values may have negative coordinates.
+    Coordinates are integers: ints, bools and integral floats are stored as
+    ints, and any other value (1.9, "2") raises ValueError.
     """
 
     coords: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "coords", tuple(int(c) for c in self.coords))
+        object.__setattr__(self, "coords", int_row(self.coords))
 
     @property
     def rank(self):
@@ -71,15 +73,21 @@ class Edge:
 
 @dataclass(frozen=True)
 class TropicalCurve:
-    """Genus-marked multigraph with oriented, monoid-metrized edges."""
+    """Genus-marked multigraph with oriented, monoid-metrized edges.
+
+    Genera are integers: ints, bools and integral floats are stored as ints,
+    and any other value (1.5, "2") raises ValueError.
+    """
 
     base_rank: int
     vertices: tuple  # of (id, genus)
     edges: tuple  # of Edge
 
     def __post_init__(self):
+        vertices = tuple(self.vertices)
+        genera = int_row(g for _, g in vertices)
         object.__setattr__(
-            self, "vertices", tuple((str(v), int(g)) for v, g in self.vertices)
+            self, "vertices", tuple((str(v), g) for (v, _), g in zip(vertices, genera))
         )
         object.__setattr__(self, "edges", tuple(self.edges))
 
@@ -196,6 +204,8 @@ class CycleBasis:
     Coefficient -1 on an edge means the edge is traversed against its stored
     orientation.  Rows must lie in the kernel of the boundary map and span it
     over the integers (checked: all elementary divisors equal 1).
+    Coefficients are integers: ints, bools and integral floats are stored as
+    ints, and any other value (1.5, "2") raises ValueError.
     """
 
     curve: TropicalCurve
@@ -205,7 +215,7 @@ class CycleBasis:
     columns: tuple = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        rows = tuple(tuple(map(int, row)) for row in self.matrix)
+        rows = int_rows(self.matrix)
         object.__setattr__(self, "matrix", rows)
         ne = len(self.curve.edges)
         h = betti_number(self.curve)
@@ -220,8 +230,11 @@ class CycleBasis:
                     "cycle row has %d entries, expected one per edge (%d)"
                     % (len(row), ne)
                 )
-        dense = zip(*rows) if rows else [()] * ne
-        columns = tuple(tuple(compress(enumerate(c), c)) for c in dense)
+        columns = [[] for _ in range(ne)]
+        for i, row in enumerate(rows):
+            for j in compress(range(ne), row):
+                columns[j].append((i, row[j]))
+        columns = tuple(map(tuple, columns))
         object.__setattr__(self, "columns", columns)
         vindex = {vid: k for k, vid in enumerate(self.curve.vertex_ids)}
         images = [[0] * len(vindex) for _ in rows]

@@ -13,7 +13,41 @@ not blow up as in the classical Smith loop over the integers.  The same
 elimination over Z/n counts the solutions of a linear system mod n.
 """
 
+from itertools import chain
 from math import gcd, prod
+
+
+_INT = {int}
+
+
+def int_row(values):
+    """The values as a tuple of ints.
+
+    One type scan passes a row of exact ints through unchanged; otherwise
+    each value x becomes int(x), which accepts bools and integral floats,
+    and ValueError names any x with int(x) != x (0.5, "2"), so no value is
+    silently truncated.
+    """
+    row = tuple(values)
+    if set(map(type, row)) <= _INT:
+        return row
+    return tuple(map(_exact_int, row))
+
+
+def int_rows(rows):
+    """The rows of an integer matrix as a tuple of ``int_row`` tuples; rows
+    may be any iterables.  A matrix of exact ints takes one type scan."""
+    rows = tuple(map(tuple, rows))
+    if set(map(type, chain.from_iterable(rows))) <= _INT:
+        return rows
+    return tuple(map(int_row, rows))
+
+
+def _exact_int(x):
+    n = int(x)
+    if n != x:
+        raise ValueError("entry %r is not an integer" % (x,))
+    return n
 
 
 def copy_matrix(mat):

@@ -37,6 +37,8 @@ from .graphs import MonoidVector, check_valid
 from .intlinalg import (
     _cyclic_orders_mod,
     det,
+    int_row,
+    int_rows,
     invariant_chain,
     leading_minors_all_positive,
     smith_divisors,
@@ -138,14 +140,15 @@ class IntSymMatrix:
     ``pairing_matrix`` result, and None otherwise.  It is the certificate
     that the matrix is a Gram matrix C diag(l) C^T with all l_e >= 1, so it
     cannot be passed to the constructor, and it takes no part in equality,
-    hashing or repr.
+    hashing or repr.  Entries are integers: ints, bools and integral floats
+    are stored as ints, and any other value (0.5, "2") raises ValueError.
     """
 
     entries: tuple
     basis: object = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        entries = tuple(tuple(map(int, row)) for row in self.entries)
+        entries = int_rows(self.entries)
         object.__setattr__(self, "entries", entries)
         h = len(entries)
         if any(len(row) != h for row in entries) or tuple(zip(*entries)) != entries:
@@ -169,8 +172,8 @@ def specialize(pm, weights):
     weights = _checked_weights(weights, pm.base_rank)
     entries = []
     for rows in zip(*pm.coords):  # row i of every coordinate matrix
-        total = repeat(0, pm.h)
-        for w, row in zip(weights, rows):
+        total = map(mul, repeat(weights[0]), rows[0])
+        for w, row in zip(weights[1:], rows[1:]):
             total = map(add, total, map(mul, repeat(w), row))
         entries.append(total)
     mat = IntSymMatrix(entries)
@@ -179,7 +182,7 @@ def specialize(pm, weights):
 
 
 def _checked_weights(weights, base_rank):
-    weights = [int(w) for w in weights]
+    weights = int_row(weights)
     if len(weights) != base_rank:
         raise ValueError(
             "expected %d weights (one per base generator), got %d"
@@ -197,7 +200,7 @@ def is_positive_definite(mat):
     certificate; any other takes the Sylvester test with exact integer minors.
     """
     if not isinstance(mat, IntSymMatrix):
-        mat = IntSymMatrix(tuple(tuple(row) for row in mat))
+        mat = IntSymMatrix(mat)
     if mat.basis is not None:
         return True
     return leading_minors_all_positive(mat.rows())
@@ -218,7 +221,7 @@ def component_group(mat):
     dense route on the specialized Gram matrix is its oracle.
     """
     if not isinstance(mat, IntSymMatrix):
-        mat = IntSymMatrix(tuple(tuple(row) for row in mat))
+        mat = IntSymMatrix(mat)
     divisors = smith_divisors(mat.rows())
     if len(divisors) < mat.h:
         raise DegeneratePairingError("degenerate pairing: determinant is zero")

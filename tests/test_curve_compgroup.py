@@ -19,7 +19,7 @@ from math import prod
 
 import pytest
 
-from conftest import smith_unreduced
+from conftest import curve_of, disjoint_union, random_graph, smith_unreduced
 from monopair import pairing
 from monopair.errors import InvalidCurveError
 from monopair.graphs import (
@@ -36,41 +36,6 @@ from monopair.pairing import (
     pairing_matrix,
     specialize,
 )
-
-
-def curve_of(base_rank, vertices, edges):
-    """A curve from vertex ids and (src, dst, length tuple) triples."""
-    return TropicalCurve(
-        base_rank=base_rank,
-        vertices=tuple((v, 0) for v in vertices),
-        edges=tuple(
-            Edge("e%03d" % k, a, b, MonoidVector(length))
-            for k, (a, b, length) in enumerate(edges)
-        ),
-    )
-
-
-def random_graph(rng, n_vertices, h, base_rank, top=5, prefix="v"):
-    """A random tree on n_vertices plus h edges between uniform endpoints
-    (self-loops and parallels included), so the first Betti number is h."""
-    names = ["%s%03d" % (prefix, i) for i in range(n_vertices)]
-    pairs = [(rng.randrange(i), i) for i in range(1, n_vertices)]
-    pairs += [(rng.randrange(n_vertices), rng.randrange(n_vertices)) for _ in range(h)]
-    return curve_of(
-        base_rank,
-        names,
-        [(names[a], names[b], tuple(rng.randint(1, top) for _ in range(base_rank)))
-         for a, b in pairs],
-    )
-
-
-def disjoint_union(*curves):
-    vertices, edges = [], []
-    for k, curve in enumerate(curves):
-        vertices += ["c%d%s" % (k, v) for v in curve.vertex_ids]
-        edges += [("c%d%s" % (k, e.src), "c%d%s" % (k, e.dst), e.length.coords)
-                  for e in curve.edges]
-    return curve_of(curves[0].base_rank, vertices, edges)
 
 
 def dense_route(curve, weights):

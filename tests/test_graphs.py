@@ -4,7 +4,15 @@ import random
 
 import pytest
 
-from conftest import dumbbell_curve, hermite_normal_form, loop_curve, path_curve, theta_curve
+from conftest import (
+    disjoint_union,
+    dumbbell_curve,
+    hermite_normal_form,
+    loop_curve,
+    path_curve,
+    random_graph,
+    theta_curve,
+)
 from monopair import graphs
 from monopair.errors import InputFormatError, InvalidCurveError
 from monopair.graphs import (
@@ -19,9 +27,9 @@ from monopair.graphs import (
     cycle_basis,
     validate,
 )
-from monopair.intlinalg import smith_divisors
+from monopair.intlinalg import mat_mul, smith_divisors
 from monopair.pairing import pairing_matrix, specialize
-from monopair.randomgen import random_curve
+from monopair.randomgen import random_curve, random_unimodular
 
 
 def kernel_member_oracle(curve, row):
@@ -248,6 +256,54 @@ def test_cycle_basis_type_rejects_bad_rows(monkeypatch):
     assert CycleBasis(curve=bell, matrix=((-1, 0, 0), (0, 1, 0))).h == 2
     with pytest.raises(ValueError, match="kernel"):
         CycleBasis(curve=bell, matrix=((1, 0, 1), (0, 1, 0)))
+
+
+def test_cycle_basis_columns_are_the_dense_transpose():
+    """``columns`` holds, per edge, the (row, coefficient) pairs of the dense
+    transpose of the rows: on random curves with self-loops, parallel edges
+    and several components, at h = 0, and on bases moved by the caller."""
+    rng = random.Random(67)
+    curves = [path_curve(), TropicalCurve(base_rank=1, vertices=(("v", 0),), edges=())]
+    for k in range(60):
+        base_rank = rng.randint(1, 3)
+        parts = [random_graph(rng, rng.randint(1, 6), rng.randint(0, 7), base_rank)
+                 for _ in range(1 + k % 3)]
+        curves.append(disjoint_union(*parts))
+    shapes = {"loop": 0, "parallel": 0, "disconnected": 0, "h = 0": 0, "|c| >= 2": 0}
+    for curve in curves:
+        basis = cycle_basis(curve)
+        bases = [basis]
+        if basis.h:
+            moved = mat_mul(random_unimodular(rng, basis.h), [list(r) for r in basis.matrix])
+            bases.append(CycleBasis(curve=curve, matrix=tuple(map(tuple, moved))))
+        for b in bases:
+            dense = zip(*b.matrix) if b.h else [()] * len(curve.edges)
+            assert b.columns == tuple(
+                tuple((i, c) for i, c in enumerate(column) if c) for column in dense
+            )
+            shapes["|c| >= 2"] += any(abs(c) >= 2 for row in b.matrix for c in row)
+        ends = [frozenset((e.src, e.dst)) for e in curve.edges]
+        shapes["loop"] += any(len(x) == 1 for x in ends)
+        shapes["parallel"] += len(set(ends)) < len(ends)
+        shapes["disconnected"] += len(curve.vertices) - len(curve.edges) + basis.h > 1
+        shapes["h = 0"] += not basis.h
+    assert min(shapes.values()) >= 5, shapes
+
+
+def test_no_coordinate_genus_or_coefficient_is_truncated():
+    """Ints, bools and integral floats are stored as ints; a value that
+    int() would truncate raises ValueError instead."""
+    assert MonoidVector((True, 2.0, -3)).coords == (1, 2, -3)
+    assert all(type(c) is int for c in MonoidVector((True, 2.0)).coords)
+    with pytest.raises(ValueError, match="1.9"):
+        MonoidVector((1.9, 0))
+    assert TropicalCurve(1, (("u", 2.0), ("v", True)), ()).vertices == (("u", 2), ("v", 1))
+    with pytest.raises(ValueError, match="1.5"):
+        TropicalCurve(1, (("u", 0), ("v", 1.5)), ())
+    loop = loop_curve()
+    assert CycleBasis(curve=loop, matrix=((-1.0,),)).matrix == ((-1,),)
+    with pytest.raises(ValueError, match="1.5"):
+        CycleBasis(curve=loop, matrix=((1.5,),))
 
 
 def test_boundary_matrix_shape():

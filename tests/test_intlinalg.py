@@ -1,10 +1,17 @@
 """Exact linear algebra against hand-checkable and brute-force oracles."""
 
 import random
+import re
+from itertools import chain, repeat
+from operator import mul
+
+import pytest
 
 from conftest import hermite_normal_form, smith_unreduced
 from monopair.intlinalg import (
     det,
+    int_row,
+    int_rows,
     kernel_count_mod,
     leading_minors_all_positive,
     mat_mul,
@@ -184,3 +191,30 @@ def test_rank_matches_transpose():
         assert divisors == smith_unreduced(mat) == smith_divisors(transpose(mat))
         assert rank(mat) == len(divisors)
         assert rank(mat) == rank(transpose(mat))
+
+
+def test_int_rows_keeps_exact_integers_and_refuses_the_rest():
+    """Rows of ints, bools, integral floats and ``map`` iterators (what
+    ``specialize`` passes) give equal tuples of exact ints; a value that
+    int() would truncate or parse raises ValueError naming it."""
+    ints = ((1, -2, 0), (3, 4, 5 ** 40))
+    for rows in (
+        ints,
+        [list(r) for r in ints],
+        ((True, -2, False), (3, 4, 5 ** 40)),
+        ((1.0, -2.0, 0.0), (3, 4.0, 5 ** 40)),
+        [map(mul, repeat(1), r) for r in ints],
+        (iter(r) for r in ints),
+    ):
+        out = int_rows(rows)
+        assert out == ints
+        assert type(out) is tuple and all(type(r) is tuple for r in out)
+        assert all(type(x) is int for x in chain.from_iterable(out))
+    assert int_rows([]) == () and int_rows([[], []]) == ((), ())
+    assert int_row(map(float, "12")) == (1, 2) and int_row(()) == ()
+    for bad in (0.5, 2.7, -1.5, "2"):
+        message = "entry %s is not an integer" % re.escape(repr(bad))
+        with pytest.raises(ValueError, match=message):
+            int_rows([[1, 2], [3, bad]])
+        with pytest.raises(ValueError, match=message):
+            int_row((bad, 1))

@@ -13,6 +13,7 @@ from monopair.pairing import (
     IntSymMatrix,
     PairingMatrix,
     component_group,
+    curve_component_group,
     edge_pairing,
     int_matrix_to_dict,
     is_positive_definite,
@@ -247,6 +248,25 @@ def test_component_group_examples():
     assert component_group(IntSymMatrix(((1, 0), (0, 1)))) == []
     with pytest.raises(DegeneratePairingError, match="degenerate pairing"):
         component_group(IntSymMatrix(((0,),)))
+
+
+def test_no_entry_or_weight_is_truncated():
+    """Integral floats and bools are read as ints; a matrix entry or a
+    weight that int() would truncate raises ValueError naming it."""
+    assert is_positive_definite([[2.0, True], [1, 2]]) is True
+    assert component_group([[2.0, 0], [0, 3]]) == [6]
+    for bad in ([[0.5]], [[2.7, 0], [0, 3]], [["2"]]):
+        with pytest.raises(ValueError, match="not an integer"):
+            is_positive_definite(bad)
+        with pytest.raises(ValueError, match="not an integer"):
+            component_group(bad)
+    loop = loop_curve()
+    pm = pairing_matrix(loop, cycle_basis(loop))
+    assert specialize(pm, [3.0]).entries == ((3,),)
+    with pytest.raises(ValueError, match="1.5"):
+        specialize(pm, [1.5])
+    with pytest.raises(ValueError, match="2.5"):
+        curve_component_group(loop, [2.5])
 
 
 def test_tate_family_component_groups():
