@@ -24,6 +24,7 @@ from .extpan.cocycles import Cocycle, class_of, parse_class_spec
 from .extpan.groups import parse_group_spec
 from .extpan.variegated import check_budget, torsor_report
 from .graphs import check_valid, curve_from_dict, cycle_basis, validate
+from .intlinalg import parse_int
 # ``component_group`` has no caller here; the benchmark tracer wraps it here.
 from .pairing import (
     component_group,
@@ -76,7 +77,7 @@ def _parse_weights(text):
     if text is None:
         return None
     try:
-        weights = [int(part) for part in text.split(",")]
+        weights = [parse_int(part) for part in text.split(",")]
     except ValueError:
         raise FlagError("--weights must be a comma-separated list of integers")
     if any(w < 1 for w in weights):

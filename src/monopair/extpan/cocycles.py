@@ -5,7 +5,11 @@ the T / m_i T, one entry per cyclic factor Z/m_i of Q: summing a normalized
 symmetric 2-cocycle along the i-th generator lands in T, and two cocycles
 are cohomologous exactly when these transgressions agree modulo m_i T.
 Residues are stored as least-index coset representatives, so classes are
-compared, hashed, Baer-summed and negated without any table.
+compared, hashed, Baer-summed and negated without any cocycle table.  The
+class arithmetic is one lookup per cyclic factor in small tables cached on
+the target group's index view and built once per factor list: the coset
+table of T modulo m_i T for reduction and negation, and the reduced sum
+table (a + b reduced modulo m_i T) for the Baer sum.
 
 A cocycle table is built only where a literal table is needed (twisted
 middle groups, pullbacks, butterfly witnesses, the oracles).  The
@@ -113,6 +117,8 @@ class ExtClass:
     brute-force scale), so identity, equality and hashing read only them.
     """
 
+    __slots__ = ("source", "target", "residues", "_cocycle")
+
     def __init__(self, source, target, residues):
         self.source = source
         self.target = target
@@ -156,9 +162,8 @@ def _require_same_groups(x, y):
 def reduced_class(source, target, transgressions):
     """The class whose transgression along the i-th cyclic factor of the
     source is the i-th given target element (any coset representative)."""
-    tops = target.ops()
-    residues = (tops.coset_table(m)[t] for t, m in zip(transgressions, source.factors))
-    return ExtClass(source, target, residues)
+    cosets = target.ops().coset_tables(source.factors)
+    return ExtClass(source, target, [c[t] for c, t in zip(cosets, transgressions)])
 
 
 def class_of(cocycle):
@@ -173,14 +178,16 @@ def split_class(source, target):
 def baer_sum(x, y):
     """Group law on extension classes: residues add factor by factor."""
     _require_same_groups(x, y)
-    add = x.target.ops().add
-    sums = (add[r][s] for r, s in zip(x.residues, y.residues))
-    return reduced_class(x.source, x.target, sums)
+    sums = x.target.ops().reduced_sums(x.source.factors)
+    return ExtClass(
+        x.source, x.target, [s[r][t] for s, r, t in zip(sums, x.residues, y.residues)]
+    )
 
 
 def class_negate(x):
-    neg = x.target.ops().neg
-    return reduced_class(x.source, x.target, (neg[r] for r in x.residues))
+    ops = x.target.ops()
+    neg, cosets = ops.neg, ops.coset_tables(x.source.factors)
+    return ExtClass(x.source, x.target, [c[neg[r]] for c, r in zip(cosets, x.residues)])
 
 
 def carry_cocycle(source, target, params):

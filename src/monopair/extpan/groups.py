@@ -17,6 +17,7 @@ and naming the components of a pair; no other module relies on the encoding.
 from itertools import product
 
 from ..errors import InputFormatError
+from ..intlinalg import parse_int
 
 
 def _pair_tables(radd, rneg, padd, pneg, twist):
@@ -45,6 +46,9 @@ class GroupOps:
         self.neg = neg
         self._coset_reps = {}
         self._multiples = {}
+        # Tables gathered per factor list of a source group.
+        self._factor_cosets = {}
+        self._factor_sums = {}
         # Coboundary constraints grouped by level, built by the first
         # brute-force witness search over this group as its source.
         self.search_setup = None
@@ -77,6 +81,24 @@ class GroupOps:
                 min(self.add[i][s] for s in sub) for i in range(self.n)
             )
         return self._coset_reps[m]
+
+    def coset_tables(self, factors):
+        """``coset_table(m)`` for each m of a factor list."""
+        tables = self._factor_cosets.get(factors)
+        if tables is None:
+            tables = self._factor_cosets[factors] = tuple(map(self.coset_table, factors))
+        return tables
+
+    def reduced_sums(self, factors):
+        """For each m of a factor list, the table of coset_table(m)[a + b]
+        over index pairs (a, b)."""
+        tables = self._factor_sums.get(factors)
+        if tables is None:
+            tables = self._factor_sums[factors] = tuple(
+                tuple(tuple(coset[v] for v in row) for row in self.add)
+                for coset in self.coset_tables(factors)
+            )
+        return tables
 
     def coset_transversal(self, m):
         """Canonical representatives of G / m*G, in increasing index order."""
@@ -167,7 +189,7 @@ class FinAbGroup:
         return ("fin", self.factors)
 
     def __eq__(self, other):
-        return isinstance(other, FinAbGroup) and self.factors == other.factors
+        return self is other or (isinstance(other, FinAbGroup) and self.factors == other.factors)
 
     def __hash__(self):
         return hash(self.key())
@@ -197,6 +219,7 @@ class TwistedGroup:
         self._elements = tuple((r, p) for r in base.elements() for p in pelems)
         self._project = None
         self._include = range(fiber.order)
+        self._factor_tables = {}
 
     @property
     def order(self):
@@ -227,11 +250,37 @@ class TwistedGroup:
         """Fiber element index -> element index: (0, p) has index p."""
         return self._include
 
+    def factor_tables(self, factors):
+        """For the cyclic factors Z/m of a source group, three tuples with
+        one entry per factor:
+
+        - the |M| x |P| action table: at (w, x), the coset of
+          w + include(x) modulo m*M, as its least index;
+        - M's ``coset_table(m)``;
+        - a dict from each coset of m*M that the inclusion meets, as its
+          least index, to the least p included into it.  The p included
+          into one coset form a union of cosets of m*P, so that p is also
+          the least index of its own coset of m*P.
+        """
+        tables = self._factor_tables.get(factors)
+        if tables is None:
+            ops = self.ops()
+            cosets = ops.coset_tables(factors)
+            acts, preimages = [], []
+            for coset in cosets:
+                acts.append(tuple(tuple(coset[row[v]] for v in self._include) for row in ops.add))
+                pre = {}
+                for p, v in enumerate(self._include):
+                    pre.setdefault(coset[v], p)
+                preimages.append(pre)
+            tables = self._factor_tables[factors] = (tuple(acts), cosets, tuple(preimages))
+        return tables
+
     def key(self):
         return ("twisted", self.base.key(), self.fiber.key(), self.table)
 
     def __eq__(self, other):
-        return isinstance(other, TwistedGroup) and self.key() == other.key()
+        return self is other or (isinstance(other, TwistedGroup) and self.key() == other.key())
 
     def __hash__(self):
         return hash(self.key())
@@ -278,7 +327,7 @@ def parse_group_spec(spec):
     for part in text.split(","):
         part = part.strip()
         try:
-            m = int(part)
+            m = parse_int(part)
         except ValueError:
             raise InputFormatError("group spec %r: %r is not an integer" % (spec, part))
         if m <= 0:

@@ -14,12 +14,17 @@ A variegated class is its residue vector in the direct sum of the M / m_i M.
 Ext(Q, P) -> Ext(Q, M) -> Ext(Q, R) -> 0 is exact (the second Ext group
 vanishes), so the fiber over E is one lift of E's residues moved by every
 class of Q by P, and the action and differences work residue by residue.
+Each is one lookup per cyclic factor Z/m of Q in tables that the middle
+group caches for Q's factor list (``TwistedGroup.factor_tables``): the
+action table of w + include(x) modulo m*M, the coset table of M modulo
+m*M, and the least preimage in P of each coset the inclusion meets.  The
+tables live on the middle group that ``extpan_fiber`` builds, so nothing is
+kept from one fiber to the next.
 The butterfly witness, the explicit correction k : Q -> R identifying the
 pushout with E on the nose, is built only when it is read.
 """
 
-from dataclasses import dataclass, replace
-from functools import cached_property
+from dataclasses import dataclass
 
 from ..errors import BudgetExceededError, MonopairError
 from .cocycles import (
@@ -67,7 +72,6 @@ def _projected(w, twisted):
     return Cocycle(w.source, twisted.base, matrix, check=False)
 
 
-@dataclass(frozen=True)
 class VariegatedClass:
     """A variegated extension class of E by F.
 
@@ -78,9 +82,26 @@ class VariegatedClass:
     table ``e_class.cocycle``.  Both tables are built on first read.
     """
 
-    e_class: ExtClass
-    f_class: ExtClass
-    cls: ExtClass
+    __slots__ = ("e_class", "f_class", "cls", "_butterfly")
+
+    def __init__(self, e_class, f_class, cls):
+        self.e_class = e_class
+        self.f_class = f_class
+        self.cls = cls
+        self._butterfly = None
+
+    def __eq__(self, other):
+        if not isinstance(other, VariegatedClass):
+            return NotImplemented
+        return (self.cls, self.e_class, self.f_class) == (other.cls, other.e_class, other.f_class)
+
+    def __hash__(self):
+        return hash((self.e_class, self.f_class, self.cls))
+
+    def __repr__(self):
+        return "VariegatedClass(e_class=%r, f_class=%r, cls=%r)" % (
+            self.e_class, self.f_class, self.cls
+        )
 
     @property
     def q_group(self):
@@ -94,13 +115,15 @@ class VariegatedClass:
     def w(self):
         return self.cls.cocycle
 
-    @cached_property
+    @property
     def butterfly(self):
-        pushed = _projected(self.w, self.middle)
-        k = coboundary_witness(_difference_table(pushed, self.e_class.cocycle))
-        if k is None:
-            raise AssertionError("cohomologous pushout without a witness")
-        return tuple(k)
+        if self._butterfly is None:
+            pushed = _projected(self.w, self.middle)
+            k = coboundary_witness(_difference_table(pushed, self.e_class.cocycle))
+            if k is None:
+                raise AssertionError("cohomologous pushout without a witness")
+            self._butterfly = tuple(k)
+        return self._butterfly
 
     def w_class(self):
         return self.cls
@@ -166,16 +189,17 @@ def extpan_fiber(e_class, f_class):
 def act(variegated, x_class):
     """Twist a variegated class by an extension class of Q by P.
 
-    Adds the included residues factor by factor; the projection to R is
-    unchanged, so the result lies over the same E.
+    Adds the included residues factor by factor, one lookup in the middle
+    group's action table each; the projection to R is unchanged, so the
+    result lies over the same E.
     """
-    middle = variegated.middle
-    if x_class.source != variegated.q_group or x_class.target != middle.fiber:
+    w = variegated.cls
+    q, middle = w.source, w.target
+    if (x_class.source, x_class.target) != (q, middle.fiber):
         raise MonopairError("acting class must extend Q by the bottom group P")
-    include = middle.include_table()
-    add = middle.ops().add
-    sums = (add[w][include[x]] for w, x in zip(variegated.cls.residues, x_class.residues))
-    return replace(variegated, cls=reduced_class(variegated.q_group, middle, sums))
+    acts, _, _ = middle.factor_tables(q.factors)
+    residues = [a[r][x] for a, r, x in zip(acts, w.residues, x_class.residues)]
+    return VariegatedClass(variegated.e_class, variegated.f_class, ExtClass(q, middle, residues))
 
 
 def difference(base, target):
@@ -184,23 +208,23 @@ def difference(base, target):
     Along each cyclic factor Z/m of Q the residue difference d in M / m*M
     maps to zero in R / m*R, so by right exactness of
     P / m*P -> M / m*M -> R / m*R -> 0 it is the image of some p in P; the
-    least such p is taken.  The answer is well defined up to the stabilizer,
-    and acting with it on the base always lands in the class of the target.
+    least such p is taken, read from the middle group's preimage table.  The
+    answer is well defined up to the stabilizer, and acting with it on the
+    base always lands in the class of the target.
     """
-    if base.f_class != target.f_class or base.e_class != target.e_class:
+    if (base.e_class, base.f_class) != (target.e_class, target.f_class):
         raise MonopairError("fibers mismatch: the two classes refine different (E, F)")
-    middle = base.middle
+    q, middle = base.cls.source, base.cls.target
     ops = middle.ops()
-    include = middle.include_table()
+    add, neg = ops.add, ops.neg
+    _, cosets, pres = middle.factor_tables(q.factors)
     preimages = []
-    for b, t, m in zip(base.cls.residues, target.cls.residues, base.q_group.factors):
-        coset = ops.coset_table(m)
-        d = coset[ops.sub(t, b)]
-        p = next((p for p, v in enumerate(include) if coset[v] == d), None)
+    for coset, pre, b, t in zip(cosets, pres, base.cls.residues, target.cls.residues):
+        p = pre.get(coset[add[t][neg[b]]])
         if p is None:
             raise MonopairError("fibers mismatch: projections are not cohomologous")
         preimages.append(p)
-    return reduced_class(base.q_group, middle.fiber, preimages)
+    return ExtClass(q, middle.fiber, preimages)
 
 
 def connecting_image(f_class, q):
@@ -256,6 +280,7 @@ def torsor_report(e_class, f_class):
     stabilizer = connecting_image(f_class, q)
     stab_keys = {cls.invariant() for cls in stabilizer}
     x_classes = _ext1_classes_unchecked(q, p)
+    negated = [class_negate(x) for x in x_classes]
 
     transitive = True
     right_section = True
@@ -269,11 +294,11 @@ def torsor_report(e_class, f_class):
     stab_exact = True
     for w in fiber:
         seen = set()
-        for x in x_classes:
+        for x, minus_x in zip(x_classes, negated):
             wx = act(w, x)
             if wx.is_isomorphic(w):
                 seen.add(x.invariant())
-            recovered = baer_sum(difference(w, wx), class_negate(x))
+            recovered = baer_sum(difference(w, wx), minus_x)
             if recovered.invariant() not in stab_keys:
                 left_section = False
         if seen != stab_keys:

@@ -13,11 +13,23 @@ not blow up as in the classical Smith loop over the integers.  The same
 elimination over Z/n counts the solutions of a linear system mod n.
 """
 
+import re
 from itertools import chain
 from math import gcd, prod
 
 
 _INT = {int}
+_INT_TEXT = re.compile(r"[+-]?[0-9]+")
+
+
+def parse_int(text):
+    """The integer written in ``text``: an optional sign and ASCII digits,
+    surrounding spaces ignored.  Anything else, underscores and non-ASCII
+    digits included (both of which ``int()`` reads), raises ValueError."""
+    text = text.strip()
+    if not _INT_TEXT.fullmatch(text):
+        raise ValueError("%r is not an integer" % text)
+    return int(text)
 
 
 def int_row(values):

@@ -259,6 +259,28 @@ def test_weights_validation(tmp_path):
     assert run_cli("specialize", loop, "--weights", "x").returncode == 2
 
 
+def test_integer_flags_take_ascii_digits_only(tmp_path, capsys):
+    """--weights and the group specs of extpan read an optional sign and
+    ASCII digits, surrounding spaces dropped; underscores and non-ASCII
+    digits, which int() reads, are refused with the usual message."""
+    loop = write(tmp_path, "loop.json", LOOP)
+    code, out, _ = run_in_process(capsys, "specialize", loop, "--weights", " 2 ")
+    assert code == 0 and json.loads(out)["entries"] == [[2]]
+    for weights in ("1_0", "\uff11", "1 0"):
+        code, out, err = run_in_process(capsys, "specialize", loop, "--weights", weights)
+        assert (code, out) == (2, "")
+        assert err == "flag error: --weights must be a comma-separated list of integers\n"
+    for weights in ("0", "-1"):
+        code, _, err = run_in_process(capsys, "specialize", loop, "--weights=" + weights)
+        assert (code, err) == (2, "flag error: --weights entries must all be >= 1\n")
+    for spec in ("1_0", "\uff12"):
+        code, out, err = run_in_process(capsys, "extpan", "--p", spec, "--q", "2", "--r", "2")
+        assert (code, out) == (2, "")
+        assert err == "flag error: --p: group spec %r: %r is not an integer\n" % (spec, spec)
+    code, _, err = run_in_process(capsys, "extpan", "--p", "0", "--q", "2", "--r", "2")
+    assert code == 2 and "factor 0 must be positive" in err
+
+
 def test_weight_count_checked_before_the_gram_matrix(tmp_path, capsys, monkeypatch):
     """A huge base rank with too few weights exits 2 at once: the weights
     are resolved after validation and before any cycle basis or pairing

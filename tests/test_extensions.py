@@ -82,6 +82,10 @@ def test_parse_group_spec():
         parse_group_spec("2,-3")
     with pytest.raises(InputFormatError):
         parse_group_spec("two")
+    # int() would read these as 10 and 2.
+    for spec in ("1_0", "2,\uff12"):
+        with pytest.raises(InputFormatError, match="is not an integer"):
+            parse_group_spec(spec)
     with pytest.raises(InputFormatError):
         parse_group_spec("")
 

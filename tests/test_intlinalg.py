@@ -15,6 +15,7 @@ from monopair.intlinalg import (
     kernel_count_mod,
     leading_minors_all_positive,
     mat_mul,
+    parse_int,
     rank,
     smith_divisors,
     transpose,
@@ -218,3 +219,13 @@ def test_int_rows_keeps_exact_integers_and_refuses_the_rest():
             int_rows([[1, 2], [3, bad]])
         with pytest.raises(ValueError, match=message):
             int_row((bad, 1))
+
+
+def test_parse_int_takes_a_sign_and_ascii_digits_only():
+    """Surrounding spaces are dropped; underscores, inner spaces, non-ASCII
+    digits and other spellings that int() reads are refused."""
+    for text, value in (("7", 7), (" 12 ", 12), ("-3", -3), ("+4", 4), ("007", 7), ("0", 0)):
+        assert parse_int(text) == value
+    for bad in ("1_0", "\uff11", "\u0663", "1 0", "", " ", "+", "1.0", "0x1", "2e3", "- 1"):
+        with pytest.raises(ValueError, match="is not an integer"):
+            parse_int(bad)

@@ -11,12 +11,14 @@ from monopair.extpan import variegated
 from monopair.extpan.bruteforce import extpan_fiber_exhaustive, variegated_iso_search
 from monopair.extpan.cocycles import (
     Cocycle,
+    ExtClass,
     _ext1_classes_unchecked,
     baer_sum,
     class_negate,
     class_of,
     coboundary_of,
     ext1_order,
+    reduced_class,
     split_class,
 )
 from monopair.extpan.groups import FinAbGroup
@@ -462,6 +464,126 @@ def test_residue_calculus_matches_table_oracles():
                 )
                 expected = class_of(Cocycle(q, middle, table, check=False))
                 assert act(w1, x).w_class() == expected
+
+
+def _reduced(source, target, transgressions):
+    """Residues of a class from any transgressions, by M's coset tables."""
+    tops = target.ops()
+    return tuple(tops.coset_table(m)[t] for t, m in zip(transgressions, source.factors))
+
+
+def _act_residues(wv, x):
+    """The coset reduction of add[w][include[x]], factor by factor."""
+    middle = wv.middle
+    include = middle.include_table()
+    add = middle.ops().add
+    sums = (add[w][include[v]] for w, v in zip(wv.cls.residues, x.residues))
+    return _reduced(wv.q_group, middle, sums)
+
+
+def _difference_residues(base, target):
+    """The least p whose inclusion lies in the coset of target - base, found
+    by scanning P, then reduced modulo m*P; None where there is none."""
+    middle = base.middle
+    ops = middle.ops()
+    include = middle.include_table()
+    preimages = []
+    for b, t, m in zip(base.cls.residues, target.cls.residues, base.q_group.factors):
+        coset = ops.coset_table(m)
+        d = coset[ops.sub(t, b)]
+        p = next((p for p, v in enumerate(include) if coset[v] == d), None)
+        if p is None:
+            return None
+        preimages.append(p)
+    return _reduced(base.q_group, middle.fiber, preimages)
+
+
+def _check_class_law(classes):
+    """baer_sum, class_negate and reduced_class on classes over one pair of
+    groups against the residue sum and negation, reduced by coset tables."""
+    q, t = classes[0].source, classes[0].target
+    ops = t.ops()
+    for x in classes:
+        minus_x = class_negate(x)
+        assert type(minus_x.residues) is tuple
+        assert minus_x.residues == _reduced(q, t, (ops.neg[r] for r in x.residues))
+        for y in classes:
+            expected = _reduced(q, t, (ops.add[r][s] for r, s in zip(x.residues, y.residues)))
+            assert baer_sum(x, y).residues == expected
+    for trans in product(range(t.order), repeat=len(q.factors)):
+        assert reduced_class(q, t, iter(trans)).residues == _reduced(q, t, trans)
+
+
+def test_class_tables_match_the_residue_formulas():
+    """act, difference, baer_sum, class_negate and reduced_class, read from
+    the cached per-factor tables, against the formulas they replace: on
+    every (E, F) with P, Q, R of order <= 4 and at the budget corners, for
+    every fiber pair, every acting class, and every pair of classes of Q by
+    P, by R and by the middle group among the fiber."""
+    checked = set()
+    for e, f in _oracle_cases():
+        q, r, p = e.source, e.target, f.target
+        fiber = extpan_fiber(e, f)
+        x_classes = _ext1_classes_unchecked(q, p)
+        for w1 in fiber:
+            for w2 in fiber:
+                d = difference(w1, w2)
+                assert d == ExtClass(q, p, _difference_residues(w1, w2))
+                assert type(d.residues) is tuple
+            for x in x_classes:
+                moved = act(w1, x)
+                assert (moved.e_class, moved.f_class) == (e, f)
+                assert moved.cls == ExtClass(q, w1.middle, _act_residues(w1, x))
+                assert type(moved.cls.residues) is tuple
+        _check_class_law([wv.cls for wv in fiber])
+        for source, target in ((q, p), (q, r)):
+            if (source.factors, target.factors) not in checked:
+                checked.add((source.factors, target.factors))
+                _check_class_law(_ext1_classes_unchecked(source, target))
+
+
+def test_difference_rejects_a_class_not_over_e():
+    """A hand-built variegated class whose class of Q by M does not push
+    forward to E has no difference with the fiber."""
+    e = split_class(Z2, Z2)
+    f = split_class(Z2, Z2)
+    base = extpan_fiber(e, f)[0]
+    middle = base.middle
+    # The residue of (1, 0) projects to the nonzero element of R.
+    off_e = ExtClass(Z2, middle, (middle.ops().index[((1,), (0,))],))
+    assert pushforward(off_e, middle) != e
+    stray = variegated.VariegatedClass(e_class=e, f_class=f, cls=off_e)
+    assert _difference_residues(base, stray) is None
+    with pytest.raises(MonopairError, match="projections are not cohomologous"):
+        difference(base, stray)
+
+
+def test_torsor_report_calls_the_public_class_operations(monkeypatch):
+    """The report checks the functions users call: act, difference,
+    baer_sum and class_negate, each at least once per fiber element."""
+    cases = [
+        (nonsplit(Z2, Z2), split_class(Z2, Z2)),
+        (nonsplit(V4, Z4), split_class(Z4, Z2)),
+    ]
+    for factors in TORSOR_CORNERS:
+        p, q, r = (FinAbGroup(f) for f in factors)
+        cases.append((_ext1_classes_unchecked(q, r)[-1], split_class(r, p)))
+    expected = [torsor_report(e, f) for e, f in cases]
+    names = ("act", "difference", "baer_sum", "class_negate")
+    counts = dict.fromkeys(names, 0)
+
+    def counting(name, fn):
+        def wrapper(*args):
+            counts[name] += 1
+            return fn(*args)
+        return wrapper
+
+    for name in names:
+        monkeypatch.setattr(variegated, name, counting(name, getattr(variegated, name)))
+    for (e, f), report in zip(cases, expected):
+        counts.update(dict.fromkeys(names, 0))
+        assert torsor_report(e, f) == report
+        assert min(counts.values()) >= report.fiber_size, counts
 
 
 def test_connecting_image_split_f_is_trivial():
